@@ -53,4 +53,4 @@ report = detect_all(model)
 print("\ninequality-test verdicts:")
 for label, verdict in zip(model.labels, report.verdicts):
     print(f"  {label:<10} {verdict}")
-print(f"bases examined: {report.combos_examined}")
+print(f"simplex pivots over the per-row fits: {report.combos_examined}")

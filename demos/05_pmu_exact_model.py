@@ -28,7 +28,7 @@ print(f"\nassembled model: {assembled.m} x {assembled.n}, block-diagonal:",
 for name, block in (("imaginary", im_block), ("real", re_block)):
     report = detect_all(block)
     print(f"{name} block verdicts: {sorted(set(report.verdicts))} "
-          f"({report.combos_examined} bases examined)")
+          f"({report.combos_examined} simplex pivots)")
 
 sign_flip = np.abs(im_block.h[3:]) - np.abs(re_block.h[3:])
 print("current rows agree up to sign between blocks:", not sign_flip.any())

@@ -3,9 +3,10 @@
 The package solves least-absolute-value (LAV) estimation problems for
 linear measurement models and identifies leverage points -- rows of the
 model matrix that let a single bad measurement drag the whole estimate --
-through an exhaustive inequality test over row subsets, with a
-projection-statistics baseline, power-network model builders, and
-experiment runners that check the bundled benchmark reference results.
+through one small LAV fit per row that finds the best basis of the
+inequality test, with a projection-statistics baseline, power-network
+model builders, and experiment runners that check the bundled benchmark
+reference results.
 """
 
 from .errors import (
@@ -39,6 +40,7 @@ from .leverage import (
     detect_partitioned,
     detect_row,
     leverage_margin,
+    leverage_oracle,
     load_partitions,
     partitions_from_dict,
     resolve_partition,

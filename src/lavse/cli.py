@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -90,16 +89,11 @@ def cmd_detect(args) -> int:
     model = load_model(args.model)
     if args.partitions:
         parts = load_partitions(args.partitions, model)
-        report = detect_partitioned(model, parts, budget=args.budget,
-                                    boundary_tol=args.boundary_tol,
-                                    strict_margin=args.strict_margin,
-                                    threads=args.threads)
+        report = detect_partitioned(model, parts, boundary_tol=args.boundary_tol,
+                                    strict_margin=args.strict_margin)
     else:
-        report = detect_all(model, budget=args.budget,
-                            boundary_tol=args.boundary_tol,
-                            strict_margin=args.strict_margin,
-                            early_exit=not args.exhaustive,
-                            threads=args.threads)
+        report = detect_all(model, boundary_tol=args.boundary_tol,
+                            strict_margin=args.strict_margin)
     if args.format == "json":
         _emit(_dump_json(report.to_dict()), args.output)
     else:
@@ -201,11 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="classify rows as leverage/boundary/clean")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--partitions", help="partition JSON file")
-    p.add_argument("--budget", type=int, help="max bases per row")
     p.add_argument("--boundary-tol", type=float, default=1e-9)
     p.add_argument("--strict-margin", type=float, default=1e-6)
-    p.add_argument("--exhaustive", action="store_true", help="disable early exit")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    # Accepted and ignored, since detection is single-threaded: bench/run.py passes --threads 1.
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     add_common(p)
     p.set_defaults(func=cmd_detect)
 

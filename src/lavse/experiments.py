@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .lav import solve_lav
 from .leverage import (
     BOUNDARY,
@@ -31,7 +32,7 @@ from .leverage import (
     Partition,
     PartitionedReport,
     detect_partitioned,
-    detect_row,
+    detect_row,  # not called here; bench/spans.py wraps experiments.detect_row
     leverage_margin,
 )
 from .model import MeasurementModel
@@ -531,9 +532,9 @@ class MCConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidArgument("trials must be >= 1")
         if self.row_variance <= 0 or self.state_variance <= 0:
-            raise ValueError("variances must be positive")
+            raise InvalidArgument("variances must be positive")
 
 
 @dataclass
@@ -561,8 +562,7 @@ def single_trial(base: MeasurementModel, extra_row, theta_true,
     aug = MeasurementModel(h_aug, z, labels)
 
     j = aug.m - 1
-    witness = detect_row(aug, j)
-    margin, _ = leverage_margin(aug, j)
+    margin, witness = leverage_margin(aug, j)
     solution = solve_lav(aug)
     deviated = bool(np.max(np.abs(solution.theta_hat - theta_true)) > cfg.deviation_tol)
     return MCTrialRecord(

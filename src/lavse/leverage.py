@@ -9,12 +9,22 @@ meaning a single bad measurement on row j can drag the whole fit.  The test
 reads only the model matrix, never the measurements, so its output is
 independent of any gross errors in z.
 
-Enumeration is exhaustive over row subsets, evaluated in lexicographic
-order with batched SVDs.  ``detect_all`` first splits the model into
-connected blocks of the row-support graph: rows in one block are orthogonal
-to null directions of another, so per-block detection provably yields the
-same verdicts while shrinking the combinatorics from C(M-1, N-1) to the
-per-block counts.
+Each candidate basis of N-1 rows is a vertex of the LAV problem
+
+    min sum_{i != j} |h_i . v|   subject to   h_j . v = 1,
+
+whose optimum is the smallest s/q over all bases (the LP view of Giloni and
+Padberg, SIAM J. Optim. 14(4), 2004).  Eliminating the coordinate of v with
+the largest |h_jc| turns it into an (M-1) x (N-1) LAV fit, which runs
+through the same simplex as ``solve_lav``.  The fit's N-1 exactly fitted
+rows are the witness basis; v, s and q are recomputed from them and graded
+by ``classify``.  The verdict thus comes from the best basis, so it is
+canonical, and the cost is polynomial rather than C(M-1, N-1) bases per row.
+``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
+reference for tests.  ``detect_all`` first splits the model into connected
+blocks of the row-support graph: rows in one block are orthogonal to null
+directions of another, so per-block detection yields the same verdicts on
+smaller fits.
 """
 
 from __future__ import annotations
@@ -22,28 +32,28 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    DegenerateBasis,
     EmptyPartition,
     IndexOutOfRange,
     InvalidArgument,
     ParseError,
     RankDeficient,
+    TooLarge,
 )
-from .model import MeasurementModel, RANK_TOL_FACTOR, validate_model
+from .lav import ORACLE_MAX_M, ORACLE_MAX_N, simplex
+from .model import MeasurementModel, RANK_TOL_FACTOR, nullspace_unit_vector, validate_model
 
 LEVERAGE = "leverage"
 BOUNDARY = "boundary"
 CLEAN = "clean"
 
-_CHUNK = 1024
 _MARGIN_EPS = 1e-12
-_SIGN_TOL = 1e-9
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 DEFAULT_STRICT_MARGIN = 1e-6
@@ -53,7 +63,7 @@ def combination_count(m: int, n: int) -> int:
     """Exact number of candidate bases per row: C(m-1, n-1).
 
     Arbitrary-precision; this is the quantity that explodes for large
-    systems and motivates partitioning.
+    systems and that the per-row LAV fit avoids enumerating.
     """
     if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
         raise InvalidArgument("m and n must be integers")
@@ -83,20 +93,18 @@ class LeverageWitness:
 
 @dataclass
 class LeverageReport:
-    """Per-row classification plus enumeration bookkeeping.
+    """Per-row classification plus solver bookkeeping.
 
-    exhaustive is False as soon as any row stopped early, either on its
-    first witness or on the per-row budget; budget-truncated rows with no
-    witness are additionally listed as inconclusive.
+    combos_examined counts the simplex pivots summed over the per-row fits;
+    combos_skipped_degenerate is always 0.  Both keep the names of the
+    basis-scan counters they replace.
     """
 
     labels: tuple[str, ...]
     verdicts: list[str]
     witnesses: dict[int, LeverageWitness]
     combos_examined: int
-    combos_skipped_degenerate: int
-    exhaustive: bool
-    inconclusive: frozenset[int] = frozenset()
+    combos_skipped_degenerate: int = 0
     notes: list[str] = field(default_factory=list)
 
     def flagged_rows(self) -> list[int]:
@@ -106,8 +114,6 @@ class LeverageReport:
         rows = []
         for i, verdict in enumerate(self.verdicts):
             entry = {"index": i, "label": self.labels[i], "verdict": verdict}
-            if i in self.inconclusive:
-                entry["inconclusive_within_budget"] = True
             w = self.witnesses.get(i)
             if w is not None:
                 entry["witness"] = {
@@ -120,8 +126,6 @@ class LeverageReport:
         return {
             "rows": rows,
             "combos_examined": self.combos_examined,
-            "combos_skipped_degenerate": self.combos_skipped_degenerate,
-            "exhaustive": self.exhaustive,
             "notes": list(self.notes),
         }
 
@@ -132,99 +136,48 @@ class LeverageReport:
             w = self.witnesses.get(i)
             s = f"{w.s:.4g}" if w else "-"
             q = f"{w.q:.4g}" if w else "-"
-            mark = " (inconclusive within budget)" if i in self.inconclusive else ""
-            lines.append(f"{self.labels[i]:<{width}}  {verdict:<9}  {s:>10}  {q:>10}{mark}")
-        lines.append(
-            f"examined {self.combos_examined} bases, skipped {self.combos_skipped_degenerate} "
-            f"degenerate, exhaustive={self.exhaustive}"
-        )
+            lines.append(f"{self.labels[i]:<{width}}  {verdict:<9}  {s:>10}  {q:>10}")
+        lines.append(f"{self.combos_examined} simplex pivots over the per-row fits")
         lines.extend(self.notes)
         return "\n".join(lines)
 
 
-@dataclass
-class RowScan:
-    """Outcome of scanning one row's candidate bases."""
-
-    witness: Optional[LeverageWitness]
-    best_margin: float
-    examined: int
-    skipped: int
-    truncated: bool
-    stopped_early: bool
+def _witness(h: np.ndarray, j: int, basis: Sequence[int]) -> LeverageWitness:
+    """Unit null vector of the basis rows and both sides of the inequality."""
+    v = nullspace_unit_vector(h[list(basis)])
+    proj = np.abs(h @ v)
+    q = float(proj[j])
+    return LeverageWitness(row_index=j, basis=tuple(int(b) for b in basis), v=v,
+                           s=float(proj.sum() - q), q=q)
 
 
-def _batched_null_vectors(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null vectors and rank-validity flags for a stack of (n-1, n) bases."""
-    k, n = bases.shape[1], bases.shape[2]
-    if k == 0:
-        return np.ones((bases.shape[0], 1)), np.ones(bases.shape[0], dtype=bool)
-    s, vt = np.linalg.svd(bases)[1:]
-    smax = s[:, 0]
-    ok = (smax > 0) & (s[:, -1] > n * smax * RANK_TOL_FACTOR)
-    v = vt[:, -1, :].copy()
-    # Sign convention: first component above the noise floor is positive.
-    lead = np.argmax(np.abs(v) > _SIGN_TOL, axis=1)
-    flip = v[np.arange(v.shape[0]), lead] < 0
-    v[flip] *= -1.0
-    return v, ok
+def _grade(witness: Optional[LeverageWitness],
+           boundary_tol: float) -> tuple[float, Optional[LeverageWitness]]:
+    """Margin of the best basis, and its witness when it qualifies."""
+    if witness is None:
+        return -np.inf, None
+    qualifies = witness.s <= witness.q + boundary_tol
+    return witness.margin(), witness if qualifies else None
 
 
-def _scan_row(h: np.ndarray, j: int, boundary_tol: float, strict_margin: float,
-              budget: Optional[int], early_exit: bool) -> RowScan:
-    """Enumerate (n-1)-subsets of the other rows in lexicographic order."""
-    m, n = h.shape
-    pool = [i for i in range(m) if i != j]
-    combos = itertools.combinations(pool, n - 1)
-    examined = 0
-    skipped = 0
-    witness = None
-    best_margin = -np.inf
-    truncated = False
-    stopped = False
-    remaining = None if budget is None else int(budget)
+def _row_test(h: np.ndarray, j: int, boundary_tol: float
+              ) -> tuple[float, Optional[LeverageWitness], int]:
+    """Margin, witness (None when clean) and simplex pivots for row j.
 
-    while True:
-        take = _CHUNK if remaining is None else min(_CHUNK, remaining)
-        if take == 0:
-            truncated = next(combos, None) is not None
-            break
-        chunk = list(itertools.islice(combos, take))
-        if not chunk:
-            break
-        subsets = np.array(chunk, dtype=int).reshape(len(chunk), n - 1)
-        v, ok = _batched_null_vectors(h[subsets])
-        proj = np.abs(v @ h.T)  # (K, m)
-        q = proj[:, j]
-        s = proj.sum(axis=1) - q
-        if remaining is not None:
-            remaining -= len(chunk)
-
-        examined += int(ok.sum())
-        skipped += int(len(chunk) - ok.sum())
-        margins = np.where(ok, (q - s) / np.maximum(q, _MARGIN_EPS), -np.inf)
-        if margins.size:
-            best_margin = max(best_margin, float(margins.max()))
-
-        qualify = ok & (s <= q + boundary_tol)
-        if witness is None and qualify.any():
-            k = int(np.argmax(qualify))
-            witness = LeverageWitness(
-                row_index=j,
-                basis=tuple(int(b) for b in subsets[k]),
-                v=v[k].copy(),
-                s=float(s[k]),
-                q=float(q[k]),
-            )
-            if early_exit:
-                # Drop the bases already pulled into this chunk but not yet
-                # needed; counters only cover what was actually evaluated.
-                extra = len(chunk) - k - 1
-                examined -= int(ok[k + 1:].sum())
-                skipped -= int(extra - ok[k + 1:].sum())
-                stopped = next(combos, None) is not None or extra > 0
-                break
-    return RowScan(witness, best_margin, examined, skipped, truncated, stopped)
+    The best basis is the vertex of min sum_{i != j} |h_i . v| subject to
+    h_j . v = 1.  With c the largest |h_jc| (partial pivoting), v_c = (1 -
+    sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with r_i =
+    h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of r on
+    g.  g has full column rank whenever h does, since g w = 0 forces h v = 0.
+    """
+    if not h[j].any():  # zero row: no support, cannot dominate any direction
+        return -np.inf, None, 0
+    c = int(np.argmax(np.abs(h[j])))
+    others = np.delete(np.arange(h.shape[0]), j)
+    r = h[others, c] / h[j, c]
+    g = np.outer(r, np.delete(h[j], c)) - np.delete(h[others], c, axis=1)
+    _, tight, pivots, _ = simplex(g, r)
+    return (*_grade(_witness(h, j, others[tight]), boundary_tol), pivots)
 
 
 def classify(witness: Optional[LeverageWitness],
@@ -236,34 +189,52 @@ def classify(witness: Optional[LeverageWitness],
     return BOUNDARY
 
 
-def detect_row(model: MeasurementModel, j: int,
-               boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-               strict_margin: float = DEFAULT_STRICT_MARGIN,
-               budget: Optional[int] = None) -> Optional[LeverageWitness]:
-    """First witness (in lexicographic basis order) that row j is flagged.
-
-    Returns None when no subset of N-1 other rows qualifies.  Subsets whose
-    rank falls below N-1 have no usable null direction and are skipped.
-    """
+def _checked_row(model: MeasurementModel, j: int) -> None:
     validate_model(model)
     if not 0 <= j < model.m:
         raise IndexOutOfRange(f"row {j} outside 0..{model.m - 1}")
-    scan = _scan_row(model.h, j, boundary_tol, strict_margin, budget, early_exit=True)
-    return scan.witness
+
+
+def detect_row(model: MeasurementModel, j: int,
+               boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> Optional[LeverageWitness]:
+    """Witness from the best basis that row j is flagged, or None when clean."""
+    _checked_row(model, j)
+    return _row_test(model.h, j, boundary_tol)[1]
 
 
 def leverage_margin(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
     """Best (q - s)/max(q, eps) over all valid bases, with the witness if flagged.
 
     Positive margins mean the inequality holds strictly for some basis;
-    values near zero sit on the boundary between the two classes.
+    values near zero sit on the boundary between the two classes.  A zero
+    row has margin -inf and no witness.
     """
-    validate_model(model)
-    if not 0 <= j < model.m:
-        raise IndexOutOfRange(f"row {j} outside 0..{model.m - 1}")
-    scan = _scan_row(model.h, j, DEFAULT_BOUNDARY_TOL, DEFAULT_STRICT_MARGIN,
-                     budget=None, early_exit=False)
-    return scan.best_margin, scan.witness
+    _checked_row(model, j)
+    return _row_test(model.h, j, DEFAULT_BOUNDARY_TOL)[:2]
+
+
+def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
+    """Brute-force reference for ``leverage_margin``: grade every basis.
+
+    Enumerates all C(M-1, N-1) subsets of the other rows, skips those of
+    rank below N-1, and grades the best-margin basis (ties keep the
+    lexicographically first subset).  Guarded to the sizes of
+    ``lav_vertex_oracle``.
+    """
+    if model.m > ORACLE_MAX_M or model.n > ORACLE_MAX_N:
+        raise TooLarge(f"oracle guard: need M <= {ORACLE_MAX_M} and N <= {ORACLE_MAX_N}")
+    _checked_row(model, j)
+    best = None
+    if model.h[j].any():
+        others = [i for i in range(model.m) if i != j]
+        for basis in itertools.combinations(others, model.n - 1):
+            try:
+                w = _witness(model.h, j, basis)
+            except DegenerateBasis:
+                continue
+            if best is None or w.margin() > best.margin():
+                best = w
+    return _grade(best, DEFAULT_BOUNDARY_TOL)
 
 
 def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
@@ -295,85 +266,38 @@ def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
     return comps
 
 
-def detect_all(model: MeasurementModel, budget: Optional[int] = None,
+def detect_all(model: MeasurementModel,
                boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-               strict_margin: float = DEFAULT_STRICT_MARGIN,
-               early_exit: bool = True, decompose: bool = True,
-               threads: Optional[int] = None) -> LeverageReport:
+               strict_margin: float = DEFAULT_STRICT_MARGIN) -> LeverageReport:
     """Classify every row of the model.
 
-    With decompose=True (default), detection runs per connected block of
-    the support graph; witnesses then carry the block-local basis (null
-    vectors are re-embedded with zeros on the other blocks), and the
-    inequality values are identical to a whole-model scan.  Rows with empty
-    support belong to no block and are reported clean.
+    Detection runs per connected block of the support graph; witnesses
+    carry global row indices, and null vectors are re-embedded with zeros
+    on the other blocks, so the inequality values are those of the whole
+    model.  Rows with empty support belong to no block and are reported
+    clean.
     """
     validate_model(model)
-    h = model.h
-    m, n = h.shape
-    if decompose:
-        comps = _support_components(h)
-    else:
-        comps = [(list(range(m)), list(range(n)))]
-
-    row_home: dict[int, tuple[np.ndarray, list[int], list[int], int]] = {}
-    for rows, cols in comps:
-        sub = h[np.ix_(rows, cols)]
-        for local_j, global_j in enumerate(rows):
-            row_home[global_j] = (sub, rows, cols, local_j)
-
-    def scan_one(j: int) -> Optional[RowScan]:
-        if j not in row_home:
-            return None
-        sub, rows, cols, local_j = row_home[j]
-        return _scan_row(sub, local_j, boundary_tol, strict_margin, budget, early_exit)
-
-    order = list(range(m))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scans = list(pool.map(scan_one, order))
-    else:
-        scans = [scan_one(j) for j in order]
-
-    verdicts = []
+    verdicts = [CLEAN] * model.m
     witnesses: dict[int, LeverageWitness] = {}
-    examined = 0
-    skipped = 0
-    exhaustive = True
-    inconclusive = set()
-    for j, scan in zip(order, scans):
-        if scan is None:  # zero row: no support, cannot dominate any direction
-            verdicts.append(CLEAN)
-            continue
-        examined += scan.examined
-        skipped += scan.skipped
-        if scan.truncated or scan.stopped_early:
-            exhaustive = False
-        if scan.truncated and scan.witness is None:
-            inconclusive.add(j)
-        w = scan.witness
-        if w is not None:
-            _, rows, cols, _ = row_home[j]
-            v_full = np.zeros(n)
-            v_full[cols] = w.v
-            w = LeverageWitness(
-                row_index=j,
-                basis=tuple(rows[b] for b in w.basis),
-                v=v_full,
-                s=w.s,
-                q=w.q,
-            )
-            witnesses[j] = w
-        verdicts.append(classify(w, strict_margin))
-
+    pivots = 0
+    for rows, cols in _support_components(model.h):
+        sub = model.h[np.ix_(rows, cols)]
+        for local_j, j in enumerate(rows):
+            _, w, spent = _row_test(sub, local_j, boundary_tol)
+            pivots += spent
+            if w is not None:
+                v_full = np.zeros(model.n)
+                v_full[cols] = w.v
+                w = LeverageWitness(row_index=j, basis=tuple(rows[b] for b in w.basis),
+                                    v=v_full, s=w.s, q=w.q)
+                witnesses[j] = w
+            verdicts[j] = classify(w, strict_margin)
     return LeverageReport(
         labels=model.labels,
         verdicts=verdicts,
         witnesses=witnesses,
-        combos_examined=examined,
-        combos_skipped_degenerate=skipped,
-        exhaustive=exhaustive,
-        inconclusive=frozenset(inconclusive),
+        combos_examined=pivots,
     )
 
 
@@ -495,10 +419,8 @@ _RANKING = {LEVERAGE: 2, BOUNDARY: 1, CLEAN: 0}
 
 
 def detect_partitioned(model: MeasurementModel, partitions: Sequence[Partition],
-                       budget: Optional[int] = None,
                        boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-                       strict_margin: float = DEFAULT_STRICT_MARGIN,
-                       threads: Optional[int] = None) -> PartitionedReport:
+                       strict_margin: float = DEFAULT_STRICT_MARGIN) -> PartitionedReport:
     """Run detection per partition and merge conservatively.
 
     A row flagged in any partition containing it stays flagged in the
@@ -521,8 +443,7 @@ def detect_partitioned(model: MeasurementModel, partitions: Sequence[Partition],
                 f"partition {part.name!r}: re-referenced by dropping column(s) {', '.join(names)}"
             )
         try:
-            rep = detect_all(sub, budget=budget, boundary_tol=boundary_tol,
-                             strict_margin=strict_margin, threads=threads)
+            rep = detect_all(sub, boundary_tol=boundary_tol, strict_margin=strict_margin)
         except RankDeficient as err:
             raise RankDeficient(err.rank, err.needed, f"partition {part.name!r}") from None
         reports.append((part, rep))

@@ -18,6 +18,7 @@ from lavse.experiments import (
     reproduce_table2,
     reproduce_table4,
 )
+from lavse.leverage import classify
 from lavse.model import load_matrix_csv
 
 THREE_BUS_H = np.array(
@@ -83,8 +84,10 @@ def test_criterion_02_direction_sweep_reproduction():
 
 def test_criterion_03_three_bus_no_leverage():
     c = _Criterion(3, "3-bus model: zero leverage/boundary rows", 1.0)
-    report = lavse.detect_all(lavse.fixture_model("threebus-dc"))
-    c.finish(report.flagged_rows() == [] and report.exhaustive)
+    model = lavse.fixture_model("threebus-dc")
+    report = lavse.detect_all(model)
+    oracle = [classify(lavse.leverage_oracle(model, j)[1]) for j in range(model.m)]
+    c.finish(report.flagged_rows() == [] and report.verdicts == oracle)
 
 
 def test_criterion_04_pmu_blocks_exact_and_clean():

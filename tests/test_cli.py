@@ -75,6 +75,15 @@ class TestEstimate:
         }))
         assert cli.main(["estimate", str(path)]) == 3
 
+    def test_singular_simplex_basis_exit_5(self, three_bus_file, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lavse.lav, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(lavse.lav.np.linalg, "inv", singular)
+        assert cli.main(["estimate", str(three_bus_file)]) == 5
+        assert "singular" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert cli.main(["estimate", "/nonexistent/model.json"]) == 2
 
@@ -94,12 +103,13 @@ class TestDetect:
         assert cli.main(["detect", str(path)]) == 0
         assert "leverage" in capsys.readouterr().out
 
-    def test_budget_marks_non_exhaustive(self, tmp_path, capsys):
+    def test_whole_ieee14_model(self, tmp_path, capsys):
         model = lavse.fixture_model("ieee14-dc")
         path = tmp_path / "ieee14.json"
         lavse.save_model(model, path)
-        assert cli.main(["detect", str(path), "--budget", "10"]) == 0
-        assert "exhaustive=False" in capsys.readouterr().out
+        assert cli.main(["detect", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert sum(r["verdict"] != "clean" for r in rows) == 24
 
     def test_partition_file(self, tmp_path, capsys):
         model = lavse.fixture_model("ieee14-dc")
@@ -138,6 +148,12 @@ class TestPsAndMc:
         doc = json.loads(text)
         assert json.dumps(json.loads(json.dumps(doc, indent=2, sort_keys=True)),
                           indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--row-variance", "-1"]])
+    def test_mc_bad_config_exit_3(self, flag, capsys):
+        argv = ["mc", "--trials", "1", "--seed", "7", *flag]
+        assert cli.main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_mc_single_trial_csv(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"

@@ -18,11 +18,14 @@ from lavse import (
     detect_partitioned,
     detect_row,
     leverage_margin,
+    leverage_oracle,
     matrix_rank,
     partitions_from_dict,
     resolve_partition,
+    save_model,
     solve_lav,
 )
+from lavse import cli
 from lavse.leverage import classify
 
 from test_model import three_bus_model
@@ -92,18 +95,14 @@ class TestDetectRow:
         assert w.s == pytest.approx(2.0)
         assert detect_row(model, 0) is None
 
-    def test_first_lexicographic_witness_returned(self):
-        # Several bases qualify for the heavy row; the earliest subset wins.
-        model = model_of([[1, 0], [0, 1], [5, 5], [100, 100]])
-        w = detect_row(model, 3)
-        assert w is not None and w.basis == (0,)
-
-    def test_budget_limits_enumeration(self):
-        # With a one-basis budget only the first candidate is tried.
-        model = model_of([[1, 0], [0, 1], [100, 100]])
-        assert detect_row(model, 2, budget=1) is not None  # basis (0,) qualifies
-        shuffled = model_of([[100, 100], [1, 0], [0, 1]])
-        assert detect_row(shuffled, 0, budget=0) is None
+    def test_best_basis_decides_not_first_qualifying(self):
+        # Basis (2,) is an exact tie (s = q) and comes first; basis (3,) has
+        # margin 0.25.  Grading the best basis makes the row strict leverage.
+        model = model_of([[2, 1], [0, -1], [-1, -2], [-2, -2], [-2, 2]])
+        w = detect_row(model, 4)
+        assert w is not None and w.basis == (3,)
+        assert w.margin() == pytest.approx(0.25, abs=1e-12)
+        assert detect_all(model).verdicts[4] == LEVERAGE
 
 
 class TestDuplicatedRows:
@@ -132,22 +131,12 @@ class TestDuplicatedRows:
 
 class TestDetectAll:
     def test_three_bus_clean_and_exhaustive(self):
-        rep = detect_all(three_bus_model())
+        # The exhaustive enumeration of all 42 bases agrees with the fits.
+        model = three_bus_model()
+        rep = detect_all(model)
         assert rep.verdicts == [CLEAN] * 7
-        assert rep.exhaustive
-        assert rep.combos_examined == 42
+        assert rep.verdicts == [classify(leverage_oracle(model, j)[1]) for j in range(7)]
         assert rep.combos_skipped_degenerate == 0
-
-    def test_early_exit_marks_non_exhaustive(self):
-        rep = detect_all(model_of([[1, 0], [0, 1], [100, 100]]))
-        assert rep.verdicts[2] == LEVERAGE
-        assert not rep.exhaustive
-
-    def test_budget_truncation(self):
-        rep = detect_all(three_bus_model(), budget=2)
-        assert not rep.exhaustive
-        assert rep.inconclusive == frozenset(range(7))
-        assert rep.combos_examined + rep.combos_skipped_degenerate == 14
 
     def test_witness_validity(self):
         rng = np.random.default_rng(13)
@@ -178,15 +167,6 @@ class TestDetectAll:
             assert r1.witnesses[j].basis == r2.witnesses[j].basis
             assert r1.witnesses[j].v.tobytes() == r2.witnesses[j].v.tobytes()
 
-    def test_early_exit_soundness(self):
-        # A row is flagged with early exit iff the exhaustive scan flags it.
-        rng = np.random.default_rng(29)
-        for _ in range(40):
-            model = random_full_rank(rng)
-            fast = detect_all(model, early_exit=True)
-            slow = detect_all(model, early_exit=False)
-            assert [v != CLEAN for v in fast.verdicts] == [v != CLEAN for v in slow.verdicts]
-
     def test_decomposition_matches_whole_model_scan(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
@@ -200,14 +180,20 @@ class TestDetectAll:
             h[:m1, :n1] = a
             h[m1:, n1:] = b
             model = model_of(h)
-            merged = detect_all(model, decompose=True).verdicts
-            naive = detect_all(model, decompose=False).verdicts
+            merged = detect_all(model).verdicts
+            naive = [classify(leverage_margin(model, j)[1]) for j in range(model.m)]
             blocks = detect_all(model_of(a)).verdicts + detect_all(model_of(b)).verdicts
             assert merged == naive == blocks
 
-    def test_threads_do_not_change_output(self):
-        model = three_bus_model()
-        assert detect_all(model).to_dict() == detect_all(model, threads=4).to_dict()
+    def test_threads_do_not_change_output(self, tmp_path, capsys):
+        # detect --threads is accepted for old callers and ignored.
+        path = tmp_path / "m.json"
+        save_model(model_of([[1, 0], [0, 1], [100, 100]]), path)
+        outputs = []
+        for extra in ([], ["--threads", "4"]):
+            assert cli.main(["detect", str(path), "--format", "json", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_scaling_own_row_keeps_leverage(self):
         # Scaling row j up scales its q while leaving its s untouched, so a
@@ -249,6 +235,12 @@ class TestLeverageMargin:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             leverage_margin(three_bus_model(), -1)
+
+    def test_zero_row_has_no_witness(self):
+        model = model_of([[1, 0], [0, 1], [0, 0], [1, 1]])
+        assert leverage_margin(model, 2) == (-np.inf, None)
+        assert leverage_oracle(model, 2) == (-np.inf, None)
+        assert detect_all(model).verdicts[2] == CLEAN
 
 
 class TestPartitions:
