@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     DisconnectedBus,
     EmptyPartition,
+    IndexOutOfRange,
     InvalidArgument,
     LavseError,
     NonFinite,
@@ -41,7 +42,7 @@ EXIT_INTERNAL = 5
 
 _NUMERIC_ERRORS = (RankDeficient, DegenerateBasis, DisconnectedBus, EmptyPartition,
                    TooLarge, NonFinite, DimensionMismatch, UnsupportedKind,
-                   UnknownLabel, InvalidArgument)
+                   UnknownLabel, IndexOutOfRange, InvalidArgument)
 
 
 def _dump_json(doc) -> str:

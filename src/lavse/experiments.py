@@ -533,6 +533,8 @@ class MCConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArgument("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
         if self.row_variance <= 0 or self.state_variance <= 0:
             raise InvalidArgument("variances must be positive")
 

@@ -1,18 +1,18 @@
 """Least-absolute-value estimation for linear measurement models.
 
-``solve_lav`` minimizes the residual L1 norm through ``simplex``, a small
-dense primal simplex on the equivalent linear program
-
-    min 1'(u + w)   s.t.   H theta + u - w = z,   u, w >= 0,  theta free,
-
-with theta as N free columns that enter the basis once and never leave, so
-every fit ends at a vertex: N linearly independent rows fitted exactly.
-The objective is convex (a sum of absolute values of affine functions), so
-the simplex optimum is global.  The leverage test (``leverage.py``) runs
-its per-row fits through the same ``simplex``.  ``lav_vertex_oracle``
-solves the problem by brute-force enumeration of the square subsystems
-whose solutions are the candidate vertices; it exists to cross-check the
-simplex and is guarded to small sizes.
+``solve_lav`` minimizes the residual L1 norm through ``simplex``.  The
+objective is convex (a sum of absolute values of affine functions) and,
+for a full-column-rank H, has a minimizer at a vertex: N linearly
+independent rows fitted exactly.  ``simplex`` walks from vertex to vertex
+with those N rows as its basis (the LAV simplex of Barrodale and Roberts,
+SIAM J. Numer. Anal. 10(5), 1973), so its pivots work on an N x N inverse
+however many rows there are.  A fixed tiny shift of z keeps every other
+residual away from zero, the classical cure for cycling on degenerate
+vertices (Charnes, Econometrica 20(2), 1952).  The leverage test
+(``leverage.py``) runs its per-row fits through the same ``simplex``.
+``lav_vertex_oracle`` solves the problem by brute-force enumeration of
+the square subsystems whose solutions are the candidate vertices; it
+exists to cross-check the simplex and is guarded to small sizes.
 """
 
 from __future__ import annotations
@@ -32,16 +32,21 @@ from .errors import (
 )
 from .model import MeasurementModel, matrix_rank, validate_model
 
-# Reduced costs below -_OPT_TOL trigger a pivot; values within _OPT_TOL of
-# zero at optimality mark alternative optima.
+# Optimality allows |y_k| up to 1 + _OPT_TOL; |y_k| within _OPT_TOL of 1 at
+# the optimum marks an alternative optimum.
 _OPT_TOL = 1e-9
+# Breakpoints with |h_i . d| below _PIVOT_TOL * max |h . d| never enter the
+# basis, which keeps it well conditioned.
 _PIVOT_TOL = 1e-11
-# Consecutive zero-step pivots before switching to Bland's rule.
-_STALL_LIMIT = 40
+# The start basis fitting every row to within _CONSISTENT_TOL * max(1, |z|)
+# ends the fit at once.
+_CONSISTENT_TOL = 1e-12
+# Largest shift of z per row, relative to max(1, |z|).  It is drawn from a
+# fixed seed, so every fit is reproducible.
+_SHIFT = 1e-9
 # Pivots between recomputations of the basis inverse.  Rank-one updates in
-# between cost O(M^2) per pivot instead of a fresh O(M^3) factorization;
-# recomputing bounds their drift, which otherwise can turn a degenerate
-# basis numerically singular.
+# between cost O(N^2) per pivot instead of a fresh O(N^3) factorization;
+# recomputing bounds their drift.
 _REFACTOR_EVERY = 20
 
 ORACLE_MAX_M = 20
@@ -98,116 +103,89 @@ def solve_lav(model: MeasurementModel, zero_tol: float = 1e-8,
     return _finish(model, theta, iterations, degenerate, zero_tol)
 
 
+def _start_rows(h: np.ndarray) -> np.ndarray:
+    """N independent rows, each the largest after projecting out the earlier ones."""
+    n = h.shape[1]
+    q = np.zeros((n, n))  # orthonormal rows spanning the rows chosen so far
+    norms = np.einsum("ij,ij->i", h, h)  # squared norms left after the projection
+    rows = np.zeros(n, dtype=int)
+    for k in range(n):
+        rows[k] = i = int(np.argmax(norms))
+        u = h[i] - (q @ h[i]) @ q
+        u -= (q @ u) @ q  # a second pass restores the orthogonality lost to rounding
+        q[k] = u / np.linalg.norm(u)
+        norms -= (h @ q[k]) ** 2
+        norms[i] = -np.inf
+    return rows
+
+
 def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
             ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Vertex minimizer of sum |z - h theta| for a full-column-rank h.
 
-    Returns theta, the N rows the vertex satisfies exactly (the rows whose
-    residual columns are both nonbasic; their rows of h are linearly
-    independent), the pivot count and the degeneracy flag.
+    Returns theta, the N rows the vertex fits exactly (sorted; their rows
+    of h are linearly independent), the pivot count and the degeneracy flag.
 
-    The starting basis is the residual slack itself (u or w per row), so no
-    phase one is needed.  Each theta column is pivoted in first, in the
-    direction its reduced cost favours; a free column never blocks a ratio
-    test, so it never leaves again and the final basis is a vertex.  The
-    residual columns then follow Dantzig pricing with a permanent fall-back
-    to Bland's rule after a run of degenerate pivots, which guarantees
-    termination.  The basis inverse takes a rank-one update per pivot and is
-    recomputed, with the basic values, every _REFACTOR_EVERY pivots.
+    The basis is the N fitted rows H_B, and theta = H_B^-1 z_B.  With s_i
+    the sign of the residual of each other row, the duals y solve
+    H_B' y = -sum_{i not in B} s_i h_i, and the basis is optimal when every
+    |y_k| <= 1.  Otherwise the row with the largest |y_k| is released:
+    theta moves along d = -sign(y_k) H_B^-1 e_k, on which the objective
+    starts with slope 1 - |y_k| < 0 and gains 2|h_i . d| each time another
+    row's residual crosses zero; the row at which the slope turns
+    non-negative enters the basis.  The iteration runs on z shifted by a
+    fixed pseudo-random amount of at most _SHIFT * max(1, |z|_inf) per row,
+    so no residual outside the basis is ever zero, every pivot lowers the
+    objective and the method cannot cycle.  Theta is then recomputed from
+    the unshifted z on the final basis.  The basis inverse takes a rank-one
+    update per pivot and is recomputed every _REFACTOR_EVERY pivots.
     """
     m, n = h.shape
     if max_iter is None:
         max_iter = 1000 + 50 * (m + n)
-
-    # Column layout: [theta (n, free), u (m), w (m)], where u_i is e_i and
-    # w_i is -e_i; the identity blocks are never stored.
-    def a_col(k: int) -> np.ndarray:
-        if k < n:
-            return h[:, k]
-        e = np.zeros(m)
-        e[(k - n) % m] = 1.0 if k < n + m else -1.0
-        return e
-
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    basis = np.array([n + i if z[i] >= 0 else n + m + i for i in range(m)], dtype=int)
-    free = np.zeros(m, dtype=bool)  # basis positions holding a theta column
-    b_inv = np.diag(np.where(z >= 0, 1.0, -1.0))  # the starting basis is its own inverse
-    x_b = np.abs(z)
-
+    basis = _start_rows(h)
     iterations = 0
-    stalled = 0
-    use_bland = False
     try:
+        b_inv = np.linalg.inv(h[basis])
+        theta = np.linalg.solve(h[basis], z[basis])
+        scale = max(1.0, float(np.abs(z).max(initial=0.0)))
+        if np.abs(z - h @ theta).max(initial=0.0) <= _CONSISTENT_TOL * scale:
+            # Consistent z: the unique fit with objective zero.
+            return theta, np.sort(basis), 0, False
+        shifted = z + np.random.default_rng(0).uniform(-_SHIFT, _SHIFT, m) * scale
         while True:
+            if iterations and iterations % _REFACTOR_EVERY == 0:
+                b_inv = np.linalg.inv(h[basis])
+            residual = shifted - h @ (b_inv @ shifted[basis])
+            sign = np.sign(residual)
+            sign[basis] = 0.0
+            y = -(sign @ h) @ b_inv
+            if np.abs(y).max(initial=0.0) <= 1.0 + _OPT_TOL:
+                break
             if iterations >= max_iter:
                 raise MaxIterations(f"simplex exceeded {max_iter} iterations")
-            if iterations and iterations % _REFACTOR_EVERY == 0:
-                b_inv = np.linalg.inv(np.array([a_col(k) for k in basis]).T)
-                x_b = b_inv @ z
-                np.maximum(x_b, 0.0, out=x_b, where=~free)
-            y = c[basis] @ b_inv
-            reduced = np.concatenate([-(y @ h), 1.0 - y, 1.0 + y])  # c - [h, I, -I]' y
-            reduced[basis] = 0.0
-
-            theta_phase = iterations < n  # the first n pivots bring each theta in once
-            if theta_phase:
-                price = np.abs(reduced[:n])
-                price[basis[free]] = -1.0
-                entering = int(np.argmax(price))
-            else:
-                candidates = np.flatnonzero(reduced < -_OPT_TOL)
-                if candidates.size == 0:
-                    break
-                if use_bland:
-                    entering = int(candidates[0])
-                else:
-                    entering = int(candidates[np.argmin(reduced[candidates])])
-
-            column = b_inv @ a_col(entering)
-            if theta_phase:
-                # Move theta downhill; on a flat reduced cost, towards a blocking row.
-                if abs(reduced[entering]) > _OPT_TOL:
-                    sign = -np.sign(reduced[entering])
-                else:
-                    sign = 1.0 if ((column > _PIVOT_TOL) & ~free).any() else -1.0
-            else:
-                sign = 1.0
-            direction = sign * column
-            movable = (direction > _PIVOT_TOL) & ~free
-            ratios = np.divide(x_b, direction, out=np.full(m, np.inf), where=movable)
-            step = ratios.min(initial=np.inf)
-            if step == np.inf:
-                raise UnboundedProblem("no blocking variable; should not happen for finite objectives")
-            # Tie-break on the smallest basis column index (Bland-compatible).
-            leaving = int(np.argmin(np.where(ratios <= step + 1e-12, basis, c.size)))
-
-            x_b = x_b - step * direction
-            x_b[leaving] = sign * step
-            basis[leaving] = entering
-            free[leaving] = entering < n
-            np.maximum(x_b, 0.0, out=x_b, where=~free)
-            pivot_row = b_inv[leaving] / column[leaving]
-            b_inv -= column[:, None] * pivot_row
-            b_inv[leaving] = pivot_row
+            k = int(np.argmax(np.abs(y)))
+            column = b_inv[:, k]
+            a = h @ (-np.sign(y[k]) * column)
+            # Rows whose residual crosses zero along d, at t = residual / a.
+            crossing = np.flatnonzero(sign * a > _PIVOT_TOL * np.abs(a).max())
+            if crossing.size == 0:
+                raise UnboundedProblem("no breakpoint; should not happen for a full-rank h")
+            crossing = crossing[np.argsort(residual[crossing] / a[crossing])]
+            slope = 1.0 - abs(y[k]) + 2.0 * np.cumsum(np.abs(a[crossing]))
+            entering = int(crossing[min(np.searchsorted(slope, 0.0), crossing.size - 1)])
+            w = h[entering] @ b_inv
+            pivot = column / w[k]
+            b_inv -= np.outer(pivot, w)
+            b_inv[:, k] = pivot
+            basis[k] = entering
             iterations += 1
-            if step <= 1e-12:
-                stalled += 1
-                if stalled >= _STALL_LIMIT:
-                    use_bland = True
-            else:
-                stalled = 0
+        theta = np.linalg.solve(h[basis], z[basis])
     except np.linalg.LinAlgError as err:
         raise LavseError(f"simplex basis became singular after {iterations} pivots: {err}") from None
-
-    theta = np.zeros(n)
-    theta[basis[free]] = x_b[free]
-    residual_basic = np.zeros(m, dtype=bool)
-    residual_basic[(basis[~free] - n) % m] = True
-    # Alternative optimum: a nonbasic column prices out to zero.
-    nonbasic = np.ones(c.size, dtype=bool)
-    nonbasic[basis] = False
-    degenerate = bool((reduced[nonbasic] <= _OPT_TOL).any())
-    return theta, np.flatnonzero(~residual_basic), iterations, degenerate
+    # Alternative optimum: releasing some basis row leaves the objective flat.
+    degenerate = bool((np.abs(y) >= 1.0 - _OPT_TOL).any())
+    return theta, np.sort(basis), iterations, degenerate
 
 
 def lav_vertex_oracle(model: MeasurementModel, zero_tol: float = 1e-8) -> LavSolution:

@@ -473,12 +473,13 @@ def detect_partitioned(model: MeasurementModel, partitions: Sequence[Partition],
 
 def partitions_from_dict(doc: dict, model: MeasurementModel) -> list[Partition]:
     """Parse ``{"partitions": [{"name", "measurements": [label-or-index]}]}``."""
-    if not isinstance(doc, dict) or "partitions" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("partitions"), list):
         raise ParseError("partition document must contain a 'partitions' array")
     out = []
     for entry in doc["partitions"]:
-        if not isinstance(entry, dict) or "name" not in entry or "measurements" not in entry:
-            raise ParseError("each partition needs 'name' and 'measurements'")
+        if not isinstance(entry, dict) or "name" not in entry \
+                or not isinstance(entry.get("measurements"), list):
+            raise ParseError("each partition needs 'name' and a 'measurements' array")
         indices = []
         for item in entry["measurements"]:
             if isinstance(item, bool):

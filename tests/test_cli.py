@@ -136,6 +136,13 @@ class TestDetect:
         assert cli.main(["detect", str(path), "--partitions", str(ppath)]) == 3
 
 
+    def test_partition_row_out_of_range_exit_3(self, three_bus_file, tmp_path, capsys):
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps({"partitions": [{"name": "a", "measurements": [999]}]}))
+        assert cli.main(["detect", str(three_bus_file), "--partitions", str(ppath)]) == 3
+        assert "out of range" in capsys.readouterr().err
+
+
 class TestPsAndMc:
     def test_ps_table(self, three_bus_file, capsys):
         assert cli.main(["ps", str(three_bus_file)]) == 0
@@ -149,7 +156,8 @@ class TestPsAndMc:
         assert json.dumps(json.loads(json.dumps(doc, indent=2, sort_keys=True)),
                           indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--row-variance", "-1"]])
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--row-variance", "-1"],
+                                      ["--seed", "-1"]])
     def test_mc_bad_config_exit_3(self, flag, capsys):
         argv = ["mc", "--trials", "1", "--seed", "7", *flag]
         assert cli.main(argv) == 3
@@ -173,6 +181,49 @@ class TestReproduce:
 
     def test_mc_small(self, capsys):
         assert cli.main(["reproduce", "mc", "--trials", "200", "--seed", "3"]) == 0
+
+
+# Malformed inputs: each must end in a documented error exit, never a traceback.
+BAD_DOCUMENTS = {
+    "empty": "",
+    "non-object": "[1, 2]",
+    "scalar": "5",
+    "no-fields": "{}",
+    "nan": '{"labels": ["a", "b"], "H": [[1, 0], [0, NaN]], "z": [0, 0]}',
+    "ragged": '{"labels": ["a", "b"], "H": [[1, 0], [1]], "z": [0, 0]}',
+    "rank-deficient": '{"labels": ["a", "b"], "H": [[1, 1], [2, 2]], "z": [0, 0]}',
+}
+BAD_PARTITIONS = {
+    "empty": "",
+    "non-object": "[1, 2]",
+    "partitions-not-array": '{"partitions": 5}',
+    "measurements-not-array": '{"partitions": [{"name": "a", "measurements": 5}]}',
+    "row-out-of-range": '{"partitions": [{"name": "a", "measurements": [999]}]}',
+    "unknown-label": '{"partitions": [{"name": "a", "measurements": ["nope"]}]}',
+    "nan-row": '{"partitions": [{"name": "a", "measurements": [NaN]}]}',
+}
+FUZZ_CASES = (
+    [pytest.param([cmd, "{doc}"], text, id=f"{cmd}-{name}")
+     for cmd in ("estimate", "detect", "ps") for name, text in BAD_DOCUMENTS.items()
+     if (cmd, name) != ("ps", "rank-deficient")]  # projection statistics need no column rank
+    + [pytest.param(["build", "{doc}", "--model", "dc"], text, id=f"build-{name}")
+       for name, text in BAD_DOCUMENTS.items()]
+    + [pytest.param([*argv, "--partitions", "{doc}"], text, id=f"{argv[0]}-{name}")
+       for argv in (["detect", "{model}"], ["reproduce", "table1"])
+       for name, text in BAD_PARTITIONS.items()]
+)
+
+
+# Bad mc settings are covered by TestPsAndMc.test_mc_bad_config_exit_3.
+@pytest.mark.parametrize("argv,text", FUZZ_CASES)
+def test_malformed_input_exits_with_documented_code(argv, text, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    model = tmp_path / "model.json"
+    lavse.save_model(lavse.fixture_model("threebus-dc"), model)
+    code = cli.main([a.format(doc=doc, model=model) for a in argv])
+    assert code in {2, 3, 4, 5}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_script_installed():

@@ -63,9 +63,10 @@ class TestSolveLav:
         assert not solve_lav(model).degenerate
 
     def test_max_iterations(self):
-        model = MeasurementModel(np.eye(3), [1.0, 2.0, 3.0], ("a", "b", "c"))
+        # The start basis fits one row; the median of z needs a pivot.
+        model = MeasurementModel(np.ones((3, 1)), [10.0, 0.0, 0.0], ("a", "b", "c"))
         with pytest.raises(MaxIterations):
-            solve_lav(model, max_iter=1)
+            solve_lav(model, max_iter=0)
 
     def test_rank_deficient_rejected(self):
         model = MeasurementModel(
