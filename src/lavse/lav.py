@@ -38,11 +38,11 @@ _OPT_TOL = 1e-9
 # Breakpoints with |h_i . d| below _PIVOT_TOL * max |h . d| never enter the
 # basis, which keeps it well conditioned.
 _PIVOT_TOL = 1e-11
-# The start basis fitting every row to within _CONSISTENT_TOL * max(1, |z|)
-# ends the fit at once.
+# The start basis fitting every row to within _CONSISTENT_TOL * |z|_inf ends
+# the fit at once.
 _CONSISTENT_TOL = 1e-12
-# Largest shift of z per row, relative to max(1, |z|).  It is drawn from a
-# fixed seed, so every fit is reproducible.
+# Largest shift of z per row, relative to |z|_inf, so the fit scales with z.
+# It is drawn from a fixed seed, so every fit is reproducible.
 _SHIFT = 1e-9
 # Pivots between recomputations of the basis inverse.  Rank-one updates in
 # between cost O(N^2) per pivot instead of a fresh O(N^3) factorization;
@@ -134,7 +134,7 @@ def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
     starts with slope 1 - |y_k| < 0 and gains 2|h_i . d| each time another
     row's residual crosses zero; the row at which the slope turns
     non-negative enters the basis.  The iteration runs on z shifted by a
-    fixed pseudo-random amount of at most _SHIFT * max(1, |z|_inf) per row,
+    fixed pseudo-random amount of at most _SHIFT * |z|_inf per row,
     so no residual outside the basis is ever zero, every pivot lowers the
     objective and the method cannot cycle.  Theta is then recomputed from
     the unshifted z on the final basis.  The basis inverse takes a rank-one
@@ -147,8 +147,9 @@ def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
     iterations = 0
     try:
         b_inv = np.linalg.inv(h[basis])
+        # solve, unlike b_inv @ z, is backward stable: a consistent z fits to 0.
         theta = np.linalg.solve(h[basis], z[basis])
-        scale = max(1.0, float(np.abs(z).max(initial=0.0)))
+        scale = float(np.abs(z).max(initial=0.0))
         if np.abs(z - h @ theta).max(initial=0.0) <= _CONSISTENT_TOL * scale:
             # Consistent z: the unique fit with objective zero.
             return theta, np.sort(basis), 0, False

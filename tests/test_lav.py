@@ -44,6 +44,13 @@ class TestSolveLav:
         assert sol.objective == pytest.approx(10.0, abs=1e-12)
         assert sol.zero_set == (0, 1)
 
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    def test_scaled_measurements_scale_the_fit(self, c):
+        model = MeasurementModel(np.ones((3, 1)), [c * 1.0, c * 2.0, c * 9.0], ("a", "b", "c"))
+        sol = solve_lav(model)
+        assert sol.theta_hat[0] == pytest.approx(c * 2.0, rel=1e-12)
+        assert sol.objective == pytest.approx(c * 8.0, rel=1e-12)
+
     def test_solution_invariants(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
