@@ -17,9 +17,10 @@ whose optimum is the smallest s/q over all bases (the LP view of Giloni and
 Padberg, SIAM J. Optim. 14(4), 2004).  Eliminating the coordinate of v with
 the largest |h_jc| turns it into an (M-1) x (N-1) LAV fit, which runs
 through the same simplex as ``solve_lav``.  The fit's N-1 exactly fitted
-rows are the witness basis; v, s and q are recomputed from them and graded
-by ``classify``.  The verdict thus comes from the best basis, so it is
-canonical, and the cost is polynomial rather than C(M-1, N-1) bases per row.
+rows are the witness basis and the fit itself gives v; s and q are
+recomputed over every row and graded by ``classify``.  The verdict thus
+comes from the best basis, so it is canonical, and the cost is polynomial
+rather than C(M-1, N-1) bases per row.
 ``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
 reference for tests.  ``detect_all`` first splits the model into connected
 blocks of the row-support graph: rows in one block are orthogonal to null
@@ -47,7 +48,13 @@ from .errors import (
     TooLarge,
 )
 from .lav import ORACLE_MAX_M, ORACLE_MAX_N, simplex
-from .model import MeasurementModel, RANK_TOL_FACTOR, nullspace_unit_vector, validate_model
+from .model import (
+    MeasurementModel,
+    RANK_TOL_FACTOR,
+    nullspace_unit_vector,
+    oriented,
+    validate_model,
+)
 
 LEVERAGE = "leverage"
 BOUNDARY = "boundary"
@@ -142,9 +149,8 @@ class LeverageReport:
         return "\n".join(lines)
 
 
-def _witness(h: np.ndarray, j: int, basis: Sequence[int]) -> LeverageWitness:
-    """Unit null vector of the basis rows and both sides of the inequality."""
-    v = nullspace_unit_vector(h[list(basis)])
+def _witness(h: np.ndarray, j: int, basis: Sequence[int], v: np.ndarray) -> LeverageWitness:
+    """Both sides of the inequality for the basis rows and their unit null vector v."""
     proj = np.abs(h @ v)
     q = float(proj[j])
     return LeverageWitness(row_index=j, basis=tuple(int(b) for b in basis), v=v,
@@ -169,15 +175,20 @@ def _row_test(h: np.ndarray, j: int, boundary_tol: float
     sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with r_i =
     h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of r on
     g.  g has full column rank whenever h does, since g w = 0 forces h v = 0.
+    The fit's w, completed by v_c and scaled to unit length, is the null
+    vector of the witness basis.
     """
     if not h[j].any():  # zero row: no support, cannot dominate any direction
         return -np.inf, None, 0
     c = int(np.argmax(np.abs(h[j])))
     others = np.delete(np.arange(h.shape[0]), j)
     r = h[others, c] / h[j, c]
-    g = np.outer(r, np.delete(h[j], c)) - np.delete(h[others], c, axis=1)
-    _, tight, pivots, _ = simplex(g, r)
-    return (*_grade(_witness(h, j, others[tight]), boundary_tol), pivots)
+    hj_rest = np.delete(h[j], c)
+    g = np.outer(r, hj_rest) - np.delete(h[others], c, axis=1)
+    w, tight, pivots, _ = simplex(g, r)
+    v = np.insert(w, c, (1.0 - hj_rest @ w) / h[j, c])
+    witness = _witness(h, j, others[tight], oriented(v / np.linalg.norm(v)))
+    return (*_grade(witness, boundary_tol), pivots)
 
 
 def classify(witness: Optional[LeverageWitness],
@@ -229,7 +240,7 @@ def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
         others = [i for i in range(model.m) if i != j]
         for basis in itertools.combinations(others, model.n - 1):
             try:
-                w = _witness(model.h, j, basis)
+                w = _witness(model.h, j, basis, nullspace_unit_vector(model.h[list(basis)]))
             except DegenerateBasis:
                 continue
             if best is None or w.margin() > best.margin():

@@ -185,11 +185,13 @@ def nullspace_unit_vector(rows: np.ndarray) -> np.ndarray:
     tol = max(k, n) * s[0] * RANK_TOL_FACTOR if s[0] > 0 else 0.0
     if s[0] == 0.0 or np.count_nonzero(s > tol) < k:
         raise DegenerateBasis(f"basis rank {np.count_nonzero(s > tol)} < {k}")
-    v = vt[-1]
+    return oriented(vt[-1])
+
+
+def oriented(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its first nonzero component positive."""
     lead = np.argmax(np.abs(v) > _SIGN_TOL)
-    if v[lead] < 0:
-        v = -v
-    return v
+    return -v if v[lead] < 0 else v
 
 
 # ---------------------------------------------------------------------------

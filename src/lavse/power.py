@@ -7,7 +7,15 @@ magnitude block, and the reference bus angle column is removed.  The PMU
 builder expresses current phasor measurements in rectangular coordinates,
 where the relation to the voltage phasors is exactly linear for lossless
 lines, and yields a block-diagonal matrix (real currents against imaginary
-voltages, and vice versa).
+voltages, and vice versa); ``pmu_blocks`` slices that matrix into its two
+blocks.
+
+Both builders share one row builder, ``_build``, driven by the ``_KINDS``
+table: a flow row is +-1/x at its two buses, an injection row sums the
+flows on every line incident to its bus, each with that line's own 1/x,
+and a voltage row is a unit row.  A flow measurement needs exactly one
+line between its buses, since the network format has no branch id to
+tell parallel lines apart.
 
 Bundled fixtures: ``threebus-dc``, ``threebus-pmu`` and ``ieee14-dc``.
 """
@@ -15,7 +23,7 @@ Bundled fixtures: ``threebus-dc``, ``threebus-pmu`` and ``ieee14-dc``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,10 +39,25 @@ from .errors import (
 )
 from .model import MeasurementModel
 
-DC_KINDS = {"pflow", "qflow", "pinj", "qinj", "vmag"}
-PMU_KINDS = {"iflow_re", "iflow_im", "iinj_re", "iinj_im", "vre", "vim"}
-_FLOW_KINDS = {"pflow", "qflow", "iflow_re", "iflow_im"}
-_BUS_KINDS = {"pinj", "qinj", "vmag", "iinj_re", "iinj_im", "vre", "vim"}
+# kind -> (state block, row shape, sign of a flow's entry at its from-bus).
+# PMU currents are received currents: flow f->t reads (V_t - V_f)/x on the
+# imaginary-voltage block and (V_f - V_t)/x on the real one.
+_KINDS = {
+    "pflow": ("theta", "flow", 1.0),
+    "pinj": ("theta", "inj", 1.0),
+    "qflow": ("vm", "flow", 1.0),
+    "qinj": ("vm", "inj", 1.0),
+    "vmag": ("vm", "bus", 1.0),
+    "iflow_re": ("im", "flow", -1.0),
+    "iinj_re": ("im", "inj", -1.0),
+    "vim": ("im", "bus", 1.0),
+    "iflow_im": ("re", "flow", 1.0),
+    "iinj_im": ("re", "inj", 1.0),
+    "vre": ("re", "bus", 1.0),
+}
+DC_KINDS = {kind for kind, (block, _, _) in _KINDS.items() if block in ("theta", "vm")}
+PMU_KINDS = set(_KINDS) - DC_KINDS
+_STATE_LABELS = {"theta": "theta_{}", "vm": "vm_{}", "im": "v{}_im", "re": "v{}_re"}
 
 FIXTURES = ("threebus-dc", "threebus-pmu", "ieee14-dc")
 
@@ -62,6 +85,10 @@ class GrossErrorSpec:
     magnitude: float
 
 
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass
 class NetworkModel:
     """Buses, lines and measurement points of a study network."""
@@ -77,41 +104,36 @@ class NetworkModel:
             raise InvalidArgument("bus ids must be unique")
         if self.reference_bus not in bus_set:
             raise InvalidArgument(f"reference bus {self.reference_bus} not in bus list")
+        lines_per_pair: dict[tuple[int, int], int] = {}
         for ln in self.lines:
             if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
                 raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} references unknown bus")
+            if ln.from_bus == ln.to_bus:
+                raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} joins a bus to itself")
             if not ln.x > 0:
                 raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} needs x > 0")
+            pair = _pair(ln.from_bus, ln.to_bus)
+            lines_per_pair[pair] = lines_per_pair.get(pair, 0) + 1
         labels = [spec.label for spec in self.measurements]
         if len(set(labels)) != len(labels):
             raise InvalidArgument("measurement labels must be unique")
         for spec in self.measurements:
-            if spec.kind in _FLOW_KINDS:
-                if spec.from_bus is None or spec.to_bus is None:
-                    raise InvalidArgument(f"{spec.label}: flow measurements need from/to buses")
-                if self._line_between(spec.from_bus, spec.to_bus) is None:
-                    raise InvalidArgument(f"{spec.label}: no line between "
-                                          f"{spec.from_bus} and {spec.to_bus}")
-            elif spec.kind in _BUS_KINDS:
+            if spec.kind not in _KINDS:
+                raise InvalidArgument(f"{spec.label}: unknown measurement kind {spec.kind!r}")
+            if _KINDS[spec.kind][1] != "flow":
                 if spec.bus is None or spec.bus not in bus_set:
                     raise InvalidArgument(f"{spec.label}: unknown bus {spec.bus}")
-            else:
-                raise InvalidArgument(f"{spec.label}: unknown measurement kind {spec.kind!r}")
-
-    def _line_between(self, a: int, b: int) -> Optional[Line]:
-        for ln in self.lines:
-            if {ln.from_bus, ln.to_bus} == {a, b}:
-                return ln
-        return None
-
-    def incident_lines(self, bus: int) -> list[Line]:
-        return [ln for ln in self.lines if bus in (ln.from_bus, ln.to_bus)]
-
-
-def _check_connected_buses(net: NetworkModel) -> None:
-    for bus in net.buses:
-        if not net.incident_lines(bus):
-            raise DisconnectedBus(f"bus {bus} has no incident line")
+                continue
+            if spec.from_bus is None or spec.to_bus is None:
+                raise InvalidArgument(f"{spec.label}: flow measurements need from/to buses")
+            count = lines_per_pair.get(_pair(spec.from_bus, spec.to_bus), 0)
+            if count == 0:
+                raise InvalidArgument(f"{spec.label}: no line between "
+                                      f"{spec.from_bus} and {spec.to_bus}")
+            if count > 1:
+                raise InvalidArgument(f"{spec.label}: {count} parallel lines between "
+                                      f"{spec.from_bus} and {spec.to_bus}; a flow "
+                                      "measurement needs exactly one")
 
 
 def _synthesize_z(h: np.ndarray, states) -> np.ndarray:
@@ -124,61 +146,75 @@ def _synthesize_z(h: np.ndarray, states) -> np.ndarray:
     return h @ states
 
 
+def _build(net: NetworkModel, name: str, blocks: dict[str, list[int]], states,
+           order=None) -> MeasurementModel:
+    """Measurement model of ``net`` over the column blocks ``blocks``.
+
+    ``blocks`` maps each state block to the buses that get a column in it;
+    a block no measurement reads gets no columns.  Rows follow the input
+    order, stably sorted by ``order`` when given.  A flow f->t is
+    sign/x at f and -sign/x at t, where sign comes from ``_KINDS``; an
+    injection at a bus is the sum of the flows from it along each incident
+    line; a bus without a column in the block (the DC reference angle)
+    gets no entry.  z is H @ states when states are supplied, else zeros.
+    """
+    bad = [s.label for s in net.measurements if _KINDS[s.kind][0] not in blocks]
+    if bad:
+        raise UnsupportedKind(f"not a {name} measurement kind: {', '.join(bad)}")
+    # One pass over the lines: the susceptance of each bus pair, and the
+    # lines incident to each bus as (other bus, susceptance).
+    susceptance: dict[tuple[int, int], float] = {}
+    incident: dict[int, list[tuple[int, float]]] = {b: [] for b in net.buses}
+    for ln in net.lines:
+        b = 1.0 / ln.x
+        susceptance[_pair(ln.from_bus, ln.to_bus)] = b
+        incident[ln.from_bus].append((ln.to_bus, b))
+        incident[ln.to_bus].append((ln.from_bus, b))
+    for bus, lines in incident.items():
+        if not lines:
+            raise DisconnectedBus(f"bus {bus} has no incident line")
+
+    specs = net.measurements if order is None else sorted(net.measurements, key=order)
+    used = {_KINDS[s.kind][0] for s in specs}
+    col: dict[str, dict[int, int]] = {}
+    state_labels: list[str] = []
+    for block, buses in blocks.items():
+        if block in used:
+            col[block] = {b: len(state_labels) + i for i, b in enumerate(buses)}
+            state_labels += [_STATE_LABELS[block].format(b) for b in buses]
+
+    h = np.zeros((len(specs), len(state_labels)))
+    for i, spec in enumerate(specs):
+        block, shape, sign = _KINDS[spec.kind]
+        cols = col[block]
+        if shape == "bus":
+            h[i, cols[spec.bus]] = 1.0
+            continue
+        if shape == "flow":
+            flows = [(spec.from_bus, spec.to_bus,
+                      susceptance[_pair(spec.from_bus, spec.to_bus)])]
+        else:
+            flows = [(spec.bus, other, b) for other, b in incident[spec.bus]]
+        for f, t, b in flows:
+            if f in cols:
+                h[i, cols[f]] += sign * b
+            if t in cols:
+                h[i, cols[t]] -= sign * b
+    return MeasurementModel(h, _synthesize_z(h, states), tuple(s.label for s in specs),
+                            true_states=states, state_labels=tuple(state_labels))
+
+
 def build_dc_model(net: NetworkModel, states=None) -> MeasurementModel:
     """Decoupled linear model for P/Q/voltage-magnitude measurements.
 
     Flow i->j contributes +1/x at the sending bus column and -1/x at the
-    receiving one; an injection row is literally the sum of the flow rows
-    leaving its bus.  Angle columns omit the reference bus, magnitude
-    columns keep every bus (voltage measurements pin the level).  z is
-    synthesized as H @ states when states are supplied, else zeros.
+    receiving one; an injection row is the sum of the flow rows leaving
+    its bus.  Angle columns omit the reference bus, magnitude columns keep
+    every bus (voltage measurements pin the level).  z is synthesized as
+    H @ states when states are supplied, else zeros.
     """
-    bad = [s.label for s in net.measurements if s.kind not in DC_KINDS]
-    if bad:
-        raise UnsupportedKind(f"not a DC measurement kind: {', '.join(bad)}")
-    _check_connected_buses(net)
-
-    want_theta = any(s.kind in ("pflow", "pinj") for s in net.measurements)
-    want_vm = any(s.kind in ("qflow", "qinj", "vmag") for s in net.measurements)
-    theta_buses = [b for b in net.buses if b != net.reference_bus] if want_theta else []
-    vm_buses = list(net.buses) if want_vm else []
-    theta_col = {b: i for i, b in enumerate(theta_buses)}
-    vm_col = {b: len(theta_buses) + i for i, b in enumerate(vm_buses)}
-    n = len(theta_buses) + len(vm_buses)
-
-    def flow_row(f: int, t: int, block: dict[int, int]) -> np.ndarray:
-        ln = net._line_between(f, t)
-        row = np.zeros(n)
-        b = 1.0 / ln.x
-        if f in block:
-            row[block[f]] += b
-        if t in block:
-            row[block[t]] -= b
-        return row
-
-    rows = []
-    for spec in net.measurements:
-        if spec.kind == "pflow":
-            rows.append(flow_row(spec.from_bus, spec.to_bus, theta_col))
-        elif spec.kind == "qflow":
-            rows.append(flow_row(spec.from_bus, spec.to_bus, vm_col))
-        elif spec.kind in ("pinj", "qinj"):
-            block = theta_col if spec.kind == "pinj" else vm_col
-            row = np.zeros(n)
-            for ln in net.incident_lines(spec.bus):
-                other = ln.to_bus if ln.from_bus == spec.bus else ln.from_bus
-                row += flow_row(spec.bus, other, block)
-            rows.append(row)
-        else:  # vmag
-            row = np.zeros(n)
-            row[vm_col[spec.bus]] = 1.0
-            rows.append(row)
-
-    h = np.array(rows)
-    labels = tuple(s.label for s in net.measurements)
-    state_labels = tuple(f"theta_{b}" for b in theta_buses) + tuple(f"vm_{b}" for b in vm_buses)
-    return MeasurementModel(h, _synthesize_z(h, states), labels,
-                            true_states=states, state_labels=state_labels)
+    theta_buses = [b for b in net.buses if b != net.reference_bus]
+    return _build(net, "DC", {"theta": theta_buses, "vm": net.buses}, states)
 
 
 def build_pmu_model(net: NetworkModel, states=None) -> MeasurementModel:
@@ -192,75 +228,22 @@ def build_pmu_model(net: NetworkModel, states=None) -> MeasurementModel:
     ordered imaginary-voltage block first, preserving input order inside
     each block.
     """
-    bad = [s.label for s in net.measurements if s.kind not in PMU_KINDS]
-    if bad:
-        raise UnsupportedKind(f"not a PMU measurement kind: {', '.join(bad)}")
-    _check_connected_buses(net)
-    im_model, re_model = pmu_blocks(net)
-
-    n1 = 0 if im_model is None else im_model.n
-    n2 = 0 if re_model is None else re_model.n
-    blocks = [b for b in (im_model, re_model) if b is not None]
-    h = np.zeros((sum(b.m for b in blocks), n1 + n2))
-    row0 = 0
-    if im_model is not None:
-        h[:im_model.m, :n1] = im_model.h
-        row0 = im_model.m
-    if re_model is not None:
-        h[row0:, n1:] = re_model.h
-    labels = tuple(lab for b in blocks for lab in b.labels)
-    state_labels = tuple(lab for b in blocks for lab in (b.state_labels or ()))
-    return MeasurementModel(h, _synthesize_z(h, states), labels,
-                            true_states=states, state_labels=state_labels)
+    return _build(net, "PMU", {"im": net.buses, "re": net.buses}, states,
+                  order=lambda spec: _KINDS[spec.kind][0] != "im")
 
 
 def pmu_blocks(net: NetworkModel) -> tuple[Optional[MeasurementModel], Optional[MeasurementModel]]:
     """The two decoupled submodels of ``build_pmu_model``.
 
-    Returns (imaginary-voltage block, real-voltage block); a block with no
-    measurements is returned as None.
+    Returns (imaginary-voltage block, real-voltage block), sliced from the
+    assembled model; a block with no measurements is returned as None.
     """
-    im_specs = [s for s in net.measurements if s.kind in ("vim", "iflow_re", "iinj_re")]
-    re_specs = [s for s in net.measurements if s.kind in ("vre", "iflow_im", "iinj_im")]
-
-    def build_block(specs: list[MeasurementSpec], part: str) -> Optional[MeasurementModel]:
-        if not specs:
-            return None
-        col = {b: i for i, b in enumerate(net.buses)}
-        n = len(net.buses)
-        # Received-current convention: flow f->t reads (V_t - V_f)/x on the
-        # imaginary block and (V_f - V_t)/x on the real one.
-        sign = 1.0 if part == "im" else -1.0
-
-        def flow_row(f: int, t: int) -> np.ndarray:
-            ln = net._line_between(f, t)
-            row = np.zeros(n)
-            b = 1.0 / ln.x
-            row[col[t]] += sign * b
-            row[col[f]] -= sign * b
-            return row
-
-        rows = []
-        for spec in specs:
-            if spec.kind in ("vim", "vre"):
-                row = np.zeros(n)
-                row[col[spec.bus]] = 1.0
-                rows.append(row)
-            elif spec.kind in ("iflow_re", "iflow_im"):
-                rows.append(flow_row(spec.from_bus, spec.to_bus))
-            else:  # injections: sum of received flows at the bus
-                row = np.zeros(n)
-                for ln in net.incident_lines(spec.bus):
-                    other = ln.to_bus if ln.from_bus == spec.bus else ln.from_bus
-                    row += flow_row(spec.bus, other)
-                rows.append(row)
-        suffix = "_im" if part == "im" else "_re"
-        state_labels = tuple(f"v{b}{suffix}" for b in net.buses)
-        h = np.array(rows)
-        return MeasurementModel(h, np.zeros(len(rows)), tuple(s.label for s in specs),
-                                state_labels=state_labels)
-
-    return build_block(im_specs, "im"), build_block(re_specs, "re")
+    model = build_pmu_model(net)
+    m_im = sum(_KINDS[s.kind][0] == "im" for s in net.measurements)
+    n_im = len(net.buses) if m_im else 0
+    im = model.submodel(range(m_im), range(n_im)) if m_im else None
+    re = model.submodel(range(m_im, model.m), range(n_im, model.n)) if m_im < model.m else None
+    return im, re
 
 
 def inject_gross_errors(model: MeasurementModel,

@@ -63,35 +63,57 @@ class TestDcBuilder:
         assert np.allclose(model.true_states, theta)
 
     def test_injection_is_sum_of_outgoing_flows(self):
+        # Parallel lines are drawn too: an injection sums each incident
+        # line's own 1/x, and flows are measured only on pairs with one line.
         rng = np.random.default_rng(2)
+        drew_parallel = False
         for _ in range(20):
             n_bus = int(rng.integers(3, 8))
             buses = list(range(1, n_bus + 1))
             lines = [Line(b, b + 1, float(rng.uniform(0.05, 1.0))) for b in buses[:-1]]
-            extra = rng.integers(0, n_bus - 2) if n_bus > 3 else 0
-            for _ in range(int(extra)):
-                a, b = sorted(rng.choice(buses, size=2, replace=False).tolist())
-                if not any({ln.from_bus, ln.to_bus} == {a, b} for ln in lines):
-                    lines.append(Line(a, b, float(rng.uniform(0.05, 1.0))))
+            for _ in range(int(rng.integers(1, n_bus))):
+                a, b = rng.choice(buses, size=2, replace=False).tolist()
+                lines.append(Line(a, b, float(rng.uniform(0.05, 1.0))))
+            pairs = [{ln.from_bus, ln.to_bus} for ln in lines]
+            single = [ln for ln, pair in zip(lines, pairs) if pairs.count(pair) == 1]
+            drew_parallel |= len(single) < len(lines)
             net = NetworkModel(
                 buses=buses, reference_bus=1, lines=lines,
                 measurements=(
                     [MeasurementSpec("pflow", f"f{ln.from_bus}-{ln.to_bus}",
-                                     from_bus=ln.from_bus, to_bus=ln.to_bus) for ln in lines]
+                                     from_bus=ln.from_bus, to_bus=ln.to_bus) for ln in single]
                     + [MeasurementSpec("pinj", f"inj{b}", bus=b) for b in buses]
                 ),
             )
             model = build_dc_model(net)
-            k = len(lines)
+
+            def flow(f: int, t: int, x: float) -> np.ndarray:
+                row = np.zeros(model.n)  # angle column of bus b is b - 2; bus 1 is the reference
+                if f != 1:
+                    row[f - 2] += 1.0 / x
+                if t != 1:
+                    row[t - 2] -= 1.0 / x
+                return row
+
+            for li, ln in enumerate(single):
+                assert np.array_equal(model.h[li], flow(ln.from_bus, ln.to_bus, ln.x))
             for bi, bus in enumerate(buses):
-                inj_row = model.h[k + bi]
                 total = np.zeros(model.n)
-                for li, ln in enumerate(lines):
+                for ln in lines:
                     if ln.from_bus == bus:
-                        total += model.h[li]
+                        total += flow(bus, ln.to_bus, ln.x)
                     elif ln.to_bus == bus:
-                        total -= model.h[li]
-                assert np.array_equal(inj_row, total)
+                        total += flow(bus, ln.from_bus, ln.x)
+                assert np.allclose(model.h[len(single) + bi], total, rtol=1e-12, atol=0.0)
+        assert drew_parallel
+
+    def test_flow_on_parallel_lines_is_ambiguous(self):
+        with pytest.raises(InvalidArgument, match="between 2 and 1"):
+            NetworkModel(
+                buses=[1, 2, 3], reference_bus=1,
+                lines=[Line(1, 2, 0.1), Line(2, 3, 0.1), Line(2, 1, 0.2)],
+                measurements=[MeasurementSpec("pflow", "f", from_bus=2, to_bus=1)],
+            )
 
     def test_ieee14_dimensions_and_rank(self):
         model = fixture_model("ieee14-dc")
@@ -206,6 +228,12 @@ class TestNetworkFiles:
             network_from_dict({
                 "buses": [1, 2], "reference": 1,
                 "lines": [{"from": 1, "to": 2, "x": -0.1}],
+                "measurements": [],
+            })
+        with pytest.raises(InvalidArgument, match="itself"):
+            network_from_dict({
+                "buses": [1, 2], "reference": 1,
+                "lines": [{"from": 1, "to": 2, "x": 0.1}, {"from": 2, "to": 2, "x": 0.1}],
                 "measurements": [],
             })
 

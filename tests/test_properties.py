@@ -15,6 +15,7 @@ from lavse import (
     leverage_margin,
     leverage_oracle,
     matrix_rank,
+    nullspace_unit_vector,
     solve_lav,
 )
 from lavse.leverage import classify
@@ -46,6 +47,9 @@ def test_verdicts_equal_oracle(model):
             assert abs(margin - oracle_margin) < 1e-9
         else:
             assert margin == oracle_margin
+        if witness is not None:  # v comes from the fit; it is the basis's null vector
+            basis_v = nullspace_unit_vector(model.h[list(witness.basis)])
+            assert np.abs(witness.v - basis_v).max() < 1e-12
 
 
 @SETTINGS
