@@ -8,6 +8,7 @@ Subcommands: estimate, detect, ps, build, mc, reproduce.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,8 @@ _NUMERIC_ERRORS = (RankDeficient, DegenerateBasis, DisconnectedBus, EmptyPartiti
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # One compact line: json's C encoder only runs when indent is None.
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -65,8 +67,8 @@ def cmd_estimate(args) -> int:
     sol = solve_lav(model, zero_tol=args.zero_tol)
     if args.format == "json":
         doc = {
-            "theta_hat": [float(x) for x in sol.theta_hat],
-            "residuals": [float(x) for x in sol.residuals],
+            "theta_hat": sol.theta_hat.tolist(),
+            "residuals": sol.residuals.tolist(),
             "objective": sol.objective,
             "zero_set": list(sol.zero_set),
             "degenerate": sol.degenerate,
@@ -176,7 +178,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if result.passed else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="lavse",
         description="Absolute-value state estimation and leverage-point diagnostics",

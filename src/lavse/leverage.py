@@ -125,7 +125,7 @@ class LeverageReport:
             if w is not None:
                 entry["witness"] = {
                     "basis": list(w.basis),
-                    "v": [float(x) for x in w.v],
+                    "v": w.v.tolist(),
                     "s": w.s,
                     "q": w.q,
                 }

@@ -234,11 +234,11 @@ def load_matrix_csv(path) -> np.ndarray:
 def model_to_dict(model: MeasurementModel) -> dict:
     doc = {
         "labels": list(model.labels),
-        "H": [[float(x) for x in row] for row in model.h],
-        "z": [float(x) for x in model.z],
+        "H": model.h.tolist(),
+        "z": model.z.tolist(),
     }
     if model.true_states is not None:
-        doc["true_states"] = [float(x) for x in model.true_states]
+        doc["true_states"] = model.true_states.tolist()
     if model.state_labels is not None:
         doc["state_labels"] = list(model.state_labels)
     return doc

@@ -279,6 +279,13 @@ def network_to_dict(net: NetworkModel) -> dict:
     }
 
 
+def _bus_id(value) -> int:
+    """A bus id from a network document: an integral number, never a boolean."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"bus id must be an integer, got {value!r}")
+    return int(value)
+
+
 def network_from_dict(doc: dict) -> NetworkModel:
     if not isinstance(doc, dict):
         raise ParseError("network document must be a JSON object")
@@ -286,21 +293,22 @@ def network_from_dict(doc: dict) -> NetworkModel:
         if key not in doc:
             raise ParseError(f"network document missing field {key!r}")
     try:
-        lines = [Line(int(d["from"]), int(d["to"]), float(d["x"]), float(d.get("r", 0.0)))
+        lines = [Line(_bus_id(d["from"]), _bus_id(d["to"]), float(d["x"]),
+                      float(d.get("r", 0.0)))
                  for d in doc["lines"]]
         measurements = [
             MeasurementSpec(
                 kind=str(d["kind"]),
                 label=str(d["label"]),
-                bus=None if d.get("bus") is None else int(d["bus"]),
-                from_bus=None if d.get("from") is None else int(d["from"]),
-                to_bus=None if d.get("to") is None else int(d["to"]),
+                bus=None if d.get("bus") is None else _bus_id(d["bus"]),
+                from_bus=None if d.get("from") is None else _bus_id(d["from"]),
+                to_bus=None if d.get("to") is None else _bus_id(d["to"]),
             )
             for d in doc["measurements"]
         ]
         return NetworkModel(
-            buses=[int(b) for b in doc["buses"]],
-            reference_bus=int(doc["reference"]),
+            buses=[_bus_id(b) for b in doc["buses"]],
+            reference_bus=_bus_id(doc["reference"]),
             lines=lines,
             measurements=measurements,
         )

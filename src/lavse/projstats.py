@@ -20,6 +20,9 @@ from .model import MeasurementModel
 # Consistency factor making the MAD estimate the Gaussian sigma.
 _MAD_SCALE = 1.4826
 
+# Directions projected per matrix product; bounds temporaries to M x _BLOCK.
+_BLOCK = 64
+
 PS_VARIANT = (
     "directions h_k - coordinatewise-median; |proj - median| / (1.4826 * MAD); "
     "statistic squared for chi-square comparability; cutoff chi2(dof, 0.975)"
@@ -48,10 +51,10 @@ class PSReport:
 
     def to_dict(self) -> dict:
         return {
-            "ps": [float(x) for x in self.ps],
-            "dof": [int(d) for d in self.dof],
-            "cutoff": [float(c) for c in self.cutoff],
-            "flagged": [bool(f) for f in self.flagged],
+            "ps": self.ps.tolist(),
+            "dof": self.dof.tolist(),
+            "cutoff": self.cutoff.tolist(),
+            "flagged": self.flagged.tolist(),
             "variant": self.variant,
             "directions_used": self.directions_used,
             "directions_skipped": self.directions_skipped,
@@ -99,31 +102,33 @@ def compute_ps(model: MeasurementModel, quantile: float = 0.975) -> PSReport:
     if m < 2:
         raise InvalidArgument("projection statistics need at least two rows")
 
+    dof = np.count_nonzero(h, axis=1)
+    zero_rows = np.flatnonzero(dof == 0)
+    if zero_rows.size:
+        raise InvalidArgument(f"row {model.labels[zero_rows[0]]!r} is all zero: "
+                              "projection statistics need a nonzero coefficient in every row")
+
     center = np.median(h, axis=0)
     directions = h - center
     norms = np.linalg.norm(directions, axis=1)
     scale = norms.max()
+    live = np.flatnonzero(norms > scale * 1e-12)
 
     best = np.zeros(m)
     used = 0
-    skipped = 0
-    for k in range(m):
-        if scale == 0.0 or norms[k] <= scale * 1e-12:
-            skipped += 1
-            continue
-        u = directions[k] / norms[k]
-        proj = h @ u
-        med = np.median(proj)
-        dev = np.abs(proj - med)
-        mad = np.median(dev)
-        if mad <= max(np.abs(proj).max(), 1.0) * 1e-12:
-            skipped += 1
-            continue
-        used += 1
-        np.maximum(best, dev / (_MAD_SCALE * mad), out=best)
+    for start in range(0, live.size, _BLOCK):
+        k = live[start:start + _BLOCK]
+        proj = h @ (directions[k] / norms[k, None]).T
+        dev = np.abs(proj - np.median(proj, axis=0))
+        mad = np.median(dev, axis=0)
+        ok = mad > np.maximum(np.abs(proj).max(axis=0), 1.0) * 1e-12
+        used += int(np.count_nonzero(ok))
+        np.maximum(best, (dev[:, ok] / (_MAD_SCALE * mad[ok])).max(axis=1, initial=0.0),
+                   out=best)
+    skipped = m - used
 
-    dof = np.count_nonzero(h, axis=1)
-    cutoff = np.array([chi2_quantile(int(d), quantile) for d in dof])
+    levels, level_of_row = np.unique(dof, return_inverse=True)
+    cutoff = np.array([chi2_quantile(int(d), quantile) for d in levels])[level_of_row]
     degenerate = used == 0
     ps = np.full(m, np.nan) if degenerate else best**2
     flagged = np.zeros(m, dtype=bool) if degenerate else ps > cutoff

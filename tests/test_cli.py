@@ -171,6 +171,36 @@ class TestPsAndMc:
         assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [["build", "threebus-dc", "--model", "dc"],
+                                  ["estimate", "{model}"], ["detect", "{model}"],
+                                  ["ps", "{model}"]])
+def test_json_output_is_one_sorted_compact_line(argv, three_bus_file, capsys):
+    assert cli.main([a.format(model=three_bus_file) for a in argv] + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_reused_parser_carries_no_option_over(three_bus_file, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    ppath = tmp_path / "p.json"
+    labels = list(lavse.fixture_model("threebus-dc").labels)
+    ppath.write_text(json.dumps({"partitions": [{"name": "all", "measurements": labels}]}))
+    assert cli.main(["detect", str(three_bus_file), "--partitions", str(ppath),
+                     "--format", "json"]) == 0
+    assert "partitions" in json.loads(capsys.readouterr().out)
+    assert cli.main(["detect", str(three_bus_file), "--format", "json"]) == 0
+    assert "partitions" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["build", "threebus-dc"],
+                                  ["estimate", "m.json", "--format", "xml"], ["nope"]])
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_table4_pass(self, capsys):
         assert cli.main(["reproduce", "table4"]) == 0
@@ -226,6 +256,12 @@ BAD_NETWORKS = {
     "x-null": _network(add_lines=[{"from": 1, "to": 3, "x": None}]),
     "x-nan": _network(add_lines=[{"from": 1, "to": 3, "x": float("nan")}]),
     "x-zero": _network(add_lines=[{"from": 1, "to": 3, "x": 0.0}]),
+    "line-fractional-bus": _network(add_lines=[{"from": 1.9, "to": 3, "x": 0.1}]),
+    "line-infinite-bus": _network(add_lines=[{"from": 1, "to": float("inf"), "x": 0.1}]),
+    "injection-fractional-bus": _network(
+        add_measurements=[{"kind": "pinj", "label": "u", "bus": 2.5}]),
+    "injection-boolean-bus": _network(
+        add_measurements=[{"kind": "pinj", "label": "u", "bus": True}]),
     "line-to-unknown-bus": _network(add_lines=[{"from": 3, "to": 9, "x": 0.1}]),
     "line-to-itself": _network(add_lines=[{"from": 3, "to": 3, "x": 0.1}]),
     "duplicate-bus": _network(buses=[1, 2, 3, 3]),

@@ -10,6 +10,7 @@ from lavse import (
     Line,
     MeasurementSpec,
     NetworkModel,
+    ParseError,
     UnknownLabel,
     UnsupportedKind,
     build_dc_model,
@@ -236,6 +237,15 @@ class TestNetworkFiles:
                 "lines": [{"from": 1, "to": 2, "x": 0.1}, {"from": 2, "to": 2, "x": 0.1}],
                 "measurements": [],
             })
+
+    @pytest.mark.parametrize("bus", [1.9, True, float("inf")])
+    def test_non_integral_bus_id_is_a_parse_error(self, bus):
+        doc = network_to_dict(fixture_network("threebus-dc"))
+        doc["measurements"].append({"kind": "pinj", "label": "u", "bus": bus})
+        with pytest.raises(ParseError, match="bus"):
+            network_from_dict(doc)
+        doc["measurements"][-1]["bus"] = 2.0
+        assert network_from_dict(doc).measurements[-1].bus == 2
 
     def test_unknown_fixture(self):
         with pytest.raises(InvalidArgument):

@@ -7,12 +7,59 @@ import pytest
 
 from lavse import InvalidArgument, MeasurementModel, chi2_quantile, compute_ps
 
+from test_meshes import mesh_model
 from test_model import three_bus_model
 
 
 def model_of(h):
     h = np.asarray(h, dtype=float)
     return MeasurementModel(h, np.zeros(h.shape[0]), tuple(f"r{i}" for i in range(h.shape[0])))
+
+
+def ps_reference(h, quantile=0.975):
+    """compute_ps as one direction at a time: (ps, cutoff, used, skipped)."""
+    m = h.shape[0]
+    center = np.median(h, axis=0)
+    directions = h - center
+    norms = np.linalg.norm(directions, axis=1)
+    scale = norms.max()
+    best = np.zeros(m)
+    used = 0
+    skipped = 0
+    for k in range(m):
+        if scale == 0.0 or norms[k] <= scale * 1e-12:
+            skipped += 1
+            continue
+        u = directions[k] / norms[k]
+        proj = h @ u
+        med = np.median(proj)
+        dev = np.abs(proj - med)
+        mad = np.median(dev)
+        if mad <= max(np.abs(proj).max(), 1.0) * 1e-12:
+            skipped += 1
+            continue
+        used += 1
+        np.maximum(best, dev / (1.4826 * mad), out=best)
+    cutoff = np.array([chi2_quantile(int(d), quantile) for d in np.count_nonzero(h, axis=1)])
+    return best**2, cutoff, used, skipped
+
+
+def random_models(seed, count):
+    """Gaussian, small-integer and sparse matrices, each row with a nonzero entry."""
+    rng = np.random.default_rng(seed)
+    for kind in ("gaussian", "integer", "sparse"):
+        for _ in range(count):
+            m = int(rng.integers(2, 80))
+            n = int(rng.integers(1, min(m, 10) + 1))
+            if kind == "gaussian":
+                h = rng.normal(size=(m, n))
+            elif kind == "integer":
+                h = rng.integers(-3, 4, size=(m, n)).astype(float)
+            else:
+                h = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.25)
+            zero = ~h.any(axis=1)
+            h[zero, rng.integers(0, n, zero.sum())] = 1.0
+            yield h
 
 
 class TestChi2Quantile:
@@ -112,6 +159,28 @@ class TestComputePs:
         c = compute_ps(model_of(3.7 * h))
         assert np.allclose(a.ps, b.ps, atol=1e-9)
         assert np.allclose(a.ps, c.ps, atol=1e-9)
+
+    def test_blocked_directions_match_one_at_a_time(self):
+        # The block's matrix product rounds differently from one
+        # matrix-vector product per direction; the counts, flags and
+        # degeneracy must still agree exactly.
+        degenerate = 0
+        for h in [*random_models(11, 120), mesh_model(10, 1).h]:
+            report = compute_ps(model_of(h))
+            ps, cutoff, used, skipped = ps_reference(h)
+            assert (report.directions_used, report.directions_skipped) == (used, skipped)
+            assert report.degenerate == (used == 0)
+            assert np.array_equal(report.cutoff, cutoff)
+            if used == 0:
+                degenerate += 1
+                continue
+            assert np.array_equal(report.flagged, ps > cutoff)
+            assert np.allclose(report.ps, ps, rtol=1e-12, atol=0.0)
+        assert 0 < degenerate < 60  # both outcomes are exercised
+
+    def test_all_zero_row_is_named(self):
+        with pytest.raises(InvalidArgument, match="'r1'"):
+            compute_ps(model_of([[1, 0], [0, 0], [0, 1]]))
 
     def test_needs_two_rows(self):
         with pytest.raises(InvalidArgument):
