@@ -48,7 +48,8 @@ _NUMERIC_ERRORS = (RankDeficient, DegenerateBasis, DisconnectedBus, EmptyPartiti
 
 def _dump_json(doc) -> str:
     # One compact line: json's C encoder only runs when indent is None.
-    return json.dumps(doc, sort_keys=True) + "\n"
+    # allow_nan=False keeps the output strict JSON: a NaN must become null first.
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -64,7 +65,7 @@ def _fmt(x: float) -> str:
 
 def cmd_estimate(args) -> int:
     model = load_model(args.model)
-    sol = solve_lav(model, zero_tol=args.zero_tol)
+    sol = solve_lav(model)
     if args.format == "json":
         doc = {
             "theta_hat": sol.theta_hat.tolist(),
@@ -92,11 +93,9 @@ def cmd_detect(args) -> int:
     model = load_model(args.model)
     if args.partitions:
         parts = load_partitions(args.partitions, model)
-        report = detect_partitioned(model, parts, boundary_tol=args.boundary_tol,
-                                    strict_margin=args.strict_margin)
+        report = detect_partitioned(model, parts)
     else:
-        report = detect_all(model, boundary_tol=args.boundary_tol,
-                            strict_margin=args.strict_margin)
+        report = detect_all(model)
     if args.format == "json":
         _emit(_dump_json(report.to_dict()), args.output)
     else:
@@ -193,15 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="solve the absolute-value fit of a model file")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--zero-tol", type=float, default=1e-8)
     add_common(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("detect", help="classify rows as leverage/boundary/clean")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--partitions", help="partition JSON file")
-    p.add_argument("--boundary-tol", type=float, default=1e-9)
-    p.add_argument("--strict-margin", type=float, default=1e-6)
     # Accepted and ignored, since detection is single-threaded: bench/run.py passes --threads 1.
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     add_common(p)

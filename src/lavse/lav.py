@@ -48,6 +48,8 @@ _SHIFT = 1e-9
 # between cost O(N^2) per pivot instead of a fresh O(N^3) factorization;
 # recomputing bounds their drift.
 _REFACTOR_EVERY = 20
+# Rows with |r_i| <= _ZERO * |z|_inf form the zero set, so it scales with z.
+_ZERO = 1e-8
 
 ORACLE_MAX_M = 20
 ORACLE_MAX_N = 4
@@ -57,8 +59,8 @@ ORACLE_MAX_N = 4
 class LavSolution:
     """Result of an absolute-value fit.
 
-    zero_set collects the rows whose residual magnitude falls below the
-    zero tolerance; the fit is a vertex, which satisfies N linearly
+    zero_set collects the rows whose residual magnitude is at most
+    1e-8 * |z|_inf; the fit is a vertex, which satisfies N linearly
     independent rows exactly, so len(zero_set) >= N and those rows have
     rank N, up to that tolerance.
     degenerate indicates the optimum is not unique (a flat face of the
@@ -82,9 +84,10 @@ def objective_at(model: MeasurementModel, theta: np.ndarray) -> float:
 
 
 def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
-            degenerate: bool, zero_tol: float) -> LavSolution:
+            degenerate: bool) -> LavSolution:
     residuals = model.z - model.h @ theta
-    zero_set = tuple(int(i) for i in np.flatnonzero(np.abs(residuals) < zero_tol))
+    zero_tol = _ZERO * np.abs(model.z).max(initial=0.0)
+    zero_set = tuple(int(i) for i in np.flatnonzero(np.abs(residuals) <= zero_tol))
     return LavSolution(
         theta_hat=theta,
         residuals=residuals,
@@ -95,12 +98,11 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
     )
 
 
-def solve_lav(model: MeasurementModel, zero_tol: float = 1e-8,
-              max_iter: int | None = None) -> LavSolution:
+def solve_lav(model: MeasurementModel, max_iter: int | None = None) -> LavSolution:
     """Globally minimize the sum of absolute residuals."""
     validate_model(model)
     theta, _, iterations, degenerate = simplex(model.h, model.z, max_iter)
-    return _finish(model, theta, iterations, degenerate, zero_tol)
+    return _finish(model, theta, iterations, degenerate)
 
 
 def _start_rows(h: np.ndarray) -> np.ndarray:
@@ -189,7 +191,7 @@ def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
     return theta, np.sort(basis), iterations, degenerate
 
 
-def lav_vertex_oracle(model: MeasurementModel, zero_tol: float = 1e-8) -> LavSolution:
+def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:
     """Brute-force reference solver: try every square subsystem.
 
     Any minimizer of the piecewise-linear objective lies at an intersection
@@ -221,4 +223,4 @@ def lav_vertex_oracle(model: MeasurementModel, zero_tol: float = 1e-8) -> LavSol
             degenerate = True
     if best_theta is None:
         raise RankDeficient(matrix_rank(model.h), n, "no nonsingular subsystem")
-    return _finish(model, best_theta, evaluated, degenerate, zero_tol)
+    return _finish(model, best_theta, evaluated, degenerate)

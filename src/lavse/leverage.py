@@ -18,9 +18,10 @@ Padberg, SIAM J. Optim. 14(4), 2004).  Eliminating the coordinate of v with
 the largest |h_jc| turns it into an (M-1) x (N-1) LAV fit, which runs
 through the same simplex as ``solve_lav``.  The fit's N-1 exactly fitted
 rows are the witness basis and the fit itself gives v; s and q are
-recomputed over every row and graded by ``classify``.  The verdict thus
-comes from the best basis, so it is canonical, and the cost is polynomial
-rather than C(M-1, N-1) bases per row.
+recomputed over every row and graded by ``classify`` on the relative
+margin (q - s)/q, which does not change when H is multiplied by a
+constant.  The verdict thus comes from the best basis, so it is canonical,
+and the cost is polynomial rather than C(M-1, N-1) bases per row.
 ``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
 reference for tests.  ``detect_all`` first splits the model into connected
 blocks of the row-support graph: rows in one block are orthogonal to null
@@ -50,7 +51,7 @@ from .errors import (
 from .lav import ORACLE_MAX_M, ORACLE_MAX_N, simplex
 from .model import (
     MeasurementModel,
-    RANK_TOL_FACTOR,
+    matrix_rank,
     nullspace_unit_vector,
     oriented,
     validate_model,
@@ -60,10 +61,11 @@ LEVERAGE = "leverage"
 BOUNDARY = "boundary"
 CLEAN = "clean"
 
-_MARGIN_EPS = 1e-12
-
-DEFAULT_BOUNDARY_TOL = 1e-9
-DEFAULT_STRICT_MARGIN = 1e-6
+# Verdict thresholds on the relative margin mu = (q - s)/q of the best
+# basis: leverage when mu >= _STRICT, boundary (an exact tie up to rounding
+# or a near miss) when -_TIE <= mu < _STRICT, clean below.
+_STRICT = 1e-6
+_TIE = 1e-9
 
 
 def combination_count(m: int, n: int) -> int:
@@ -95,7 +97,12 @@ class LeverageWitness:
     q: float
 
     def margin(self) -> float:
-        return (self.q - self.s) / max(self.q, _MARGIN_EPS)
+        """(q - s)/q, or -inf when q = 0."""
+        return (self.q - self.s) / self.q if self.q > 0 else -np.inf
+
+    def is_tie(self) -> bool:
+        """s equals q up to rounding: |margin| <= _TIE."""
+        return abs(self.margin()) <= _TIE
 
 
 @dataclass
@@ -157,18 +164,23 @@ def _witness(h: np.ndarray, j: int, basis: Sequence[int], v: np.ndarray) -> Leve
                            s=float(proj.sum() - q), q=q)
 
 
-def _grade(witness: Optional[LeverageWitness],
-           boundary_tol: float) -> tuple[float, Optional[LeverageWitness]]:
-    """Margin of the best basis, and its witness when it qualifies."""
+def classify(witness: Optional[LeverageWitness]) -> str:
+    """Verdict of a row from the witness of its best basis (None: clean)."""
+    mu = -np.inf if witness is None else witness.margin()
+    if mu >= _STRICT:
+        return LEVERAGE
+    return BOUNDARY if mu >= -_TIE else CLEAN
+
+
+def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[LeverageWitness]]:
+    """Margin of the best basis, and its witness unless the row is clean."""
     if witness is None:
         return -np.inf, None
-    qualifies = witness.s <= witness.q + boundary_tol
-    return witness.margin(), witness if qualifies else None
+    return witness.margin(), None if classify(witness) == CLEAN else witness
 
 
-def _row_test(h: np.ndarray, j: int, boundary_tol: float
-              ) -> tuple[float, Optional[LeverageWitness], int]:
-    """Margin, witness (None when clean) and simplex pivots for row j.
+def _row_test(h: np.ndarray, j: int) -> tuple[Optional[LeverageWitness], int]:
+    """Witness of the best basis (None for a zero row) and simplex pivots for row j.
 
     The best basis is the vertex of min sum_{i != j} |h_i . v| subject to
     h_j . v = 1.  With c the largest |h_jc| (partial pivoting), v_c = (1 -
@@ -179,7 +191,7 @@ def _row_test(h: np.ndarray, j: int, boundary_tol: float
     vector of the witness basis.
     """
     if not h[j].any():  # zero row: no support, cannot dominate any direction
-        return -np.inf, None, 0
+        return None, 0
     c = int(np.argmax(np.abs(h[j])))
     others = np.delete(np.arange(h.shape[0]), j)
     r = h[others, c] / h[j, c]
@@ -187,17 +199,7 @@ def _row_test(h: np.ndarray, j: int, boundary_tol: float
     g = np.outer(r, hj_rest) - np.delete(h[others], c, axis=1)
     w, tight, pivots, _ = simplex(g, r)
     v = np.insert(w, c, (1.0 - hj_rest @ w) / h[j, c])
-    witness = _witness(h, j, others[tight], oriented(v / np.linalg.norm(v)))
-    return (*_grade(witness, boundary_tol), pivots)
-
-
-def classify(witness: Optional[LeverageWitness],
-             strict_margin: float = DEFAULT_STRICT_MARGIN) -> str:
-    if witness is None:
-        return CLEAN
-    if witness.s <= witness.q - strict_margin * max(1.0, witness.q):
-        return LEVERAGE
-    return BOUNDARY
+    return _witness(h, j, others[tight], oriented(v / np.linalg.norm(v))), pivots
 
 
 def _checked_row(model: MeasurementModel, j: int) -> None:
@@ -206,22 +208,20 @@ def _checked_row(model: MeasurementModel, j: int) -> None:
         raise IndexOutOfRange(f"row {j} outside 0..{model.m - 1}")
 
 
-def detect_row(model: MeasurementModel, j: int,
-               boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> Optional[LeverageWitness]:
+def detect_row(model: MeasurementModel, j: int) -> Optional[LeverageWitness]:
     """Witness from the best basis that row j is flagged, or None when clean."""
-    _checked_row(model, j)
-    return _row_test(model.h, j, boundary_tol)[1]
+    return leverage_margin(model, j)[1]
 
 
 def leverage_margin(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
-    """Best (q - s)/max(q, eps) over all valid bases, with the witness if flagged.
+    """Best (q - s)/q over all valid bases, with the witness if flagged.
 
     Positive margins mean the inequality holds strictly for some basis;
     values near zero sit on the boundary between the two classes.  A zero
     row has margin -inf and no witness.
     """
     _checked_row(model, j)
-    return _row_test(model.h, j, DEFAULT_BOUNDARY_TOL)[:2]
+    return _graded(_row_test(model.h, j)[0])
 
 
 def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
@@ -245,7 +245,7 @@ def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
                 continue
             if best is None or w.margin() > best.margin():
                 best = w
-    return _grade(best, DEFAULT_BOUNDARY_TOL)
+    return _graded(best)
 
 
 def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
@@ -259,27 +259,25 @@ def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
             x = parent[x]
         return x
 
+    first = []  # first nonzero column of each row, -1 for a zero row
     for i in range(m):
         cols = np.flatnonzero(h[i])
+        first.append(int(cols[0]) if cols.size else -1)
         for c in cols[1:]:
             ra, rb = find(int(cols[0])), find(int(c))
             if ra != rb:
                 parent[rb] = ra
-    groups: dict[int, list[int]] = {}
+    # Filled in column order, so the blocks come sorted by their first column.
+    comps: dict[int, tuple[list[int], list[int]]] = {}
     for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    comps = []
-    for cols in groups.values():
-        col_set = set(cols)
-        rows = [i for i in range(m) if any(int(c) in col_set for c in np.flatnonzero(h[i]))]
-        comps.append((rows, sorted(cols)))
-    comps.sort(key=lambda rc: rc[1][0])
-    return comps
+        comps.setdefault(find(c), ([], []))[1].append(c)
+    for i, c in enumerate(first):
+        if c >= 0:
+            comps[find(c)][0].append(i)
+    return list(comps.values())
 
 
-def detect_all(model: MeasurementModel,
-               boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-               strict_margin: float = DEFAULT_STRICT_MARGIN) -> LeverageReport:
+def detect_all(model: MeasurementModel) -> LeverageReport:
     """Classify every row of the model.
 
     Detection runs per connected block of the support graph; witnesses
@@ -295,15 +293,14 @@ def detect_all(model: MeasurementModel,
     for rows, cols in _support_components(model.h):
         sub = model.h[np.ix_(rows, cols)]
         for local_j, j in enumerate(rows):
-            _, w, spent = _row_test(sub, local_j, boundary_tol)
+            w, spent = _row_test(sub, local_j)
             pivots += spent
-            if w is not None:
+            verdicts[j] = classify(w)
+            if verdicts[j] != CLEAN:
                 v_full = np.zeros(model.n)
                 v_full[cols] = w.v
-                w = LeverageWitness(row_index=j, basis=tuple(rows[b] for b in w.basis),
-                                    v=v_full, s=w.s, q=w.q)
-                witnesses[j] = w
-            verdicts[j] = classify(w, strict_margin)
+                witnesses[j] = LeverageWitness(row_index=j, basis=tuple(rows[b] for b in w.basis),
+                                               v=v_full, s=w.s, q=w.q)
     return LeverageReport(
         labels=model.labels,
         verdicts=verdicts,
@@ -349,9 +346,7 @@ def resolve_partition(model: MeasurementModel, partition: Partition) -> Partitio
         if not cols:
             raise RankDeficient(0, 1, f"partition {partition.name!r} has no usable state columns")
         sub = model.h[np.ix_(list(rows), cols)]
-        s = np.linalg.svd(sub, compute_uv=False)
-        tol = max(sub.shape) * s[0] * RANK_TOL_FACTOR if s[0] > 0 else 0.0
-        rank = int(np.count_nonzero(s > tol))
+        rank = matrix_rank(sub)
         if rank == len(cols):
             break
         # A deficiency is repairable only when it is a pure translation
@@ -360,7 +355,7 @@ def resolve_partition(model: MeasurementModel, partition: Partition) -> Partitio
         # partition lost its reference for that group.  Dropping the
         # group's lowest-indexed column installs a local reference.
         cand = None
-        atol = 1e-9 * max(1.0, float(np.abs(sub).max()))
+        atol = 1e-9 * float(np.abs(sub).max())
         for _, comp_cols in _support_components(sub):
             group_sums = sub[:, comp_cols].sum(axis=1)
             if np.max(np.abs(group_sums)) <= atol:
@@ -429,9 +424,8 @@ class PartitionedReport:
 _RANKING = {LEVERAGE: 2, BOUNDARY: 1, CLEAN: 0}
 
 
-def detect_partitioned(model: MeasurementModel, partitions: Sequence[Partition],
-                       boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-                       strict_margin: float = DEFAULT_STRICT_MARGIN) -> PartitionedReport:
+def detect_partitioned(model: MeasurementModel,
+                       partitions: Sequence[Partition]) -> PartitionedReport:
     """Run detection per partition and merge conservatively.
 
     A row flagged in any partition containing it stays flagged in the
@@ -454,7 +448,7 @@ def detect_partitioned(model: MeasurementModel, partitions: Sequence[Partition],
                 f"partition {part.name!r}: re-referenced by dropping column(s) {', '.join(names)}"
             )
         try:
-            rep = detect_all(sub, boundary_tol=boundary_tol, strict_margin=strict_margin)
+            rep = detect_all(sub)
         except RankDeficient as err:
             raise RankDeficient(err.rank, err.needed, f"partition {part.name!r}") from None
         reports.append((part, rep))

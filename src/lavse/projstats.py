@@ -9,6 +9,7 @@ benchmarked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ _MAD_SCALE = 1.4826
 
 # Directions projected per matrix product; bounds temporaries to M x _BLOCK.
 _BLOCK = 64
+
+# A direction whose MAD is at most _MAD_FLOOR times its largest |projection|
+# has no spread and is skipped.
+_MAD_FLOOR = 1e-12
 
 PS_VARIANT = (
     "directions h_k - coordinatewise-median; |proj - median| / (1.4826 * MAD); "
@@ -37,7 +42,8 @@ class PSReport:
     on the same scale as the chi-square cutoff;  flagged is exactly
     ps > cutoff.  Directions whose projection spread (MAD) vanishes carry
     no information and are skipped; if every direction degenerates the
-    statistics are undefined (NaN) and ``degenerate`` is set.
+    statistics are undefined (NaN, written as null by ``to_dict``) and
+    ``degenerate`` is set.
     """
 
     ps: np.ndarray
@@ -51,7 +57,7 @@ class PSReport:
 
     def to_dict(self) -> dict:
         return {
-            "ps": self.ps.tolist(),
+            "ps": [None if math.isnan(x) else x for x in self.ps.tolist()],
             "dof": self.dof.tolist(),
             "cutoff": self.cutoff.tolist(),
             "flagged": self.flagged.tolist(),
@@ -89,7 +95,7 @@ def chi2_quantile(d: int, p: float = 0.975) -> float:
     return float(2.0 * special.gammaincinv(d / 2.0, p))
 
 
-def compute_ps(model: MeasurementModel, quantile: float = 0.975) -> PSReport:
+def compute_ps(model: MeasurementModel) -> PSReport:
     """Projection statistics of the model rows.
 
     Candidate directions are the rows recentred at the coordinatewise
@@ -121,14 +127,14 @@ def compute_ps(model: MeasurementModel, quantile: float = 0.975) -> PSReport:
         proj = h @ (directions[k] / norms[k, None]).T
         dev = np.abs(proj - np.median(proj, axis=0))
         mad = np.median(dev, axis=0)
-        ok = mad > np.maximum(np.abs(proj).max(axis=0), 1.0) * 1e-12
+        ok = mad > _MAD_FLOOR * np.abs(proj).max(axis=0)
         used += int(np.count_nonzero(ok))
         np.maximum(best, (dev[:, ok] / (_MAD_SCALE * mad[ok])).max(axis=1, initial=0.0),
                    out=best)
     skipped = m - used
 
     levels, level_of_row = np.unique(dof, return_inverse=True)
-    cutoff = np.array([chi2_quantile(int(d), quantile) for d in levels])[level_of_row]
+    cutoff = np.array([chi2_quantile(int(d)) for d in levels])[level_of_row]
     degenerate = used == 0
     ps = np.full(m, np.nan) if degenerate else best**2
     flagged = np.zeros(m, dtype=bool) if degenerate else ps > cutoff

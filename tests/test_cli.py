@@ -156,6 +156,19 @@ class TestPsAndMc:
         assert json.dumps(json.loads(json.dumps(doc, indent=2, sort_keys=True)),
                           indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
 
+    def test_ps_json_is_strict_on_degenerate_model(self, tmp_path, capsys):
+        mpath = tmp_path / "ieee14.json"
+        assert cli.main(["build", "ieee14-dc", "--model", "dc", "--format", "json",
+                         "--output", str(mpath)]) == 0
+        assert cli.main(["ps", str(mpath), "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["degenerate"] is True
+        assert doc["ps"] == [None] * len(doc["dof"])
+
     @pytest.mark.parametrize("flag", [["--trials", "0"], ["--row-variance", "-1"],
                                       ["--seed", "-1"]])
     def test_mc_bad_config_exit_3(self, flag, capsys):
@@ -193,7 +206,10 @@ def test_reused_parser_carries_no_option_over(three_bus_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["detect"], ["build", "threebus-dc"],
-                                  ["estimate", "m.json", "--format", "xml"], ["nope"]])
+                                  ["estimate", "m.json", "--format", "xml"], ["nope"],
+                                  ["detect", "m.json", "--boundary-tol", "1e-9"],
+                                  ["detect", "m.json", "--strict-margin", "1e-6"],
+                                  ["estimate", "m.json", "--zero-tol", "1e-8"]])
 def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

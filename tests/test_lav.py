@@ -50,6 +50,7 @@ class TestSolveLav:
         sol = solve_lav(model)
         assert sol.theta_hat[0] == pytest.approx(c * 2.0, rel=1e-12)
         assert sol.objective == pytest.approx(c * 8.0, rel=1e-12)
+        assert sol.zero_set == (1,)
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(5)
@@ -169,5 +170,5 @@ def test_theorem_zero_set_property():
             if matrix_rank(h) == n:
                 break
         model = MeasurementModel(h, rng.normal(size=m), tuple(f"r{i}" for i in range(m)))
-        sol = solve_lav(model, zero_tol=1e-8)
+        sol = solve_lav(model)
         assert len(sol.zero_set) >= n

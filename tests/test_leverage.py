@@ -17,6 +17,7 @@ from lavse import (
     detect_all,
     detect_partitioned,
     detect_row,
+    fixture_model,
     leverage_margin,
     leverage_oracle,
     matrix_rank,
@@ -26,8 +27,10 @@ from lavse import (
     solve_lav,
 )
 from lavse import cli
+from lavse.experiments import ieee14_partitions
 from lavse.leverage import classify
 
+from test_meshes import mesh_model
 from test_model import three_bus_model
 
 
@@ -215,6 +218,22 @@ class TestDetectAll:
         assert checked > 0
 
 
+@pytest.mark.parametrize("c", [1e-10, 1e-6, 1e6, 1e9])
+def test_verdicts_invariant_under_scaling_h(c):
+    # The inequality s <= q is homogeneous in H, so the units of H must not
+    # change a verdict.
+    def scaled(model):
+        return MeasurementModel(c * model.h, model.z, model.labels,
+                                state_labels=model.state_labels)
+
+    for model in (fixture_model("threebus-dc"), fixture_model("ieee14-dc"), mesh_model(3, 0)):
+        assert detect_all(scaled(model)).verdicts == detect_all(model).verdicts
+    model = fixture_model("ieee14-dc")
+    parts = ieee14_partitions(model)
+    assert (detect_partitioned(scaled(model), parts).merged_verdicts
+            == detect_partitioned(model, parts).merged_verdicts)
+
+
 class TestLeverageMargin:
     def test_sign_agrees_with_flag(self):
         rng = np.random.default_rng(47)
@@ -274,11 +293,12 @@ class TestPartitions:
 
     def test_rank_deficient_partition_reported_with_name(self):
         # Both rows collinear: support columns cannot reach full rank even
-        # after reference drops.
-        model = model_of([[1, 1], [2, 2], [0, 1]])
-        with pytest.raises(RankDeficient) as err:
-            resolve_partition(model, Partition("bad", (0, 1)))
-        assert "bad" in str(err.value)
+        # after reference drops, in whatever units H is given.
+        for c in (1.0, 1e-10):
+            model = model_of(c * np.array([[1, 1], [2, 2], [0, 1]]))
+            with pytest.raises(RankDeficient) as err:
+                resolve_partition(model, Partition("bad", (0, 1)))
+            assert "bad" in str(err.value)
 
     def test_floating_block_re_referenced(self):
         # Pure difference rows have no anchored column; resolution drops the

@@ -16,7 +16,7 @@ def model_of(h):
     return MeasurementModel(h, np.zeros(h.shape[0]), tuple(f"r{i}" for i in range(h.shape[0])))
 
 
-def ps_reference(h, quantile=0.975):
+def ps_reference(h):
     """compute_ps as one direction at a time: (ps, cutoff, used, skipped)."""
     m = h.shape[0]
     center = np.median(h, axis=0)
@@ -35,12 +35,12 @@ def ps_reference(h, quantile=0.975):
         med = np.median(proj)
         dev = np.abs(proj - med)
         mad = np.median(dev)
-        if mad <= max(np.abs(proj).max(), 1.0) * 1e-12:
+        if mad <= np.abs(proj).max() * 1e-12:
             skipped += 1
             continue
         used += 1
         np.maximum(best, dev / (1.4826 * mad), out=best)
-    cutoff = np.array([chi2_quantile(int(d), quantile) for d in np.count_nonzero(h, axis=1)])
+    cutoff = np.array([chi2_quantile(int(d), 0.975) for d in np.count_nonzero(h, axis=1)])
     return best**2, cutoff, used, skipped
 
 
@@ -119,6 +119,14 @@ class TestComputePs:
         report = compute_ps(three_bus_model())
         assert report.ps[0] == pytest.approx((191 / (18 * 1.4826)) ** 2, rel=1e-10)
         assert report.ps[5] == pytest.approx((202 / (18 * 1.4826)) ** 2, rel=1e-10)
+
+    def test_scaling_h_keeps_flags_and_directions(self):
+        # The MAD guard is relative to the projections, so tiny units of H
+        # skip no direction that unit-scale H uses.
+        a = compute_ps(three_bus_model())
+        b = compute_ps(model_of(1e-12 * three_bus_model().h))
+        assert np.array_equal(a.flagged, b.flagged)
+        assert a.directions_used == b.directions_used == 6
 
     def test_identical_rows_degenerate(self):
         report = compute_ps(model_of([[1, 1]] * 5))
