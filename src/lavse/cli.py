@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: estimate, detect, ps, build, mc, reproduce.  Exit codes:
+Subcommands: estimate, detect, ps, build, reproduce.  Exit codes:
 0 success, 2 parse/usage error, 3 numerical precondition failure,
 4 reproduction mismatch, 5 internal error.
 """
@@ -138,24 +138,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_mc(args) -> int:
-    cfg = experiments.MCConfig(
-        trials=args.trials, seed=args.seed,
-        row_variance=args.row_variance, state_variance=args.state_variance,
-        gross_error=args.gross_error, boundary_band=args.boundary_band,
-        deviation_tol=args.deviation_tol,
-    )
-    records = experiments.run_monte_carlo(None, cfg, csv_path=args.out)
-    agreement = experiments.agreement_rate(records)
-    flagged = sum(r.detector_flagged for r in records if not r.skipped)
-    deviated = sum(r.lav_deviated for r in records if not r.skipped)
-    print(f"trials={cfg.trials} flagged={flagged} deviated={deviated} "
-          f"agreement_outside_band={agreement:.4f}")
-    if args.out:
-        print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 def cmd_reproduce(args) -> int:
     if args.target == "table4":
         result = experiments.reproduce_table4()
@@ -213,17 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["dc", "pmu"], required=True)
     add_common(p)
     p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("mc", help="random extra-row study on the 3-bus model")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--row-variance", type=float, default=30.0)
-    p.add_argument("--state-variance", type=float, default=1.0)
-    p.add_argument("--gross-error", type=float, default=10.0)
-    p.add_argument("--boundary-band", type=float, default=0.05)
-    p.add_argument("--deviation-tol", type=float, default=0.1)
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("reproduce", help="check bundled reference results")
     p.add_argument("target", choices=["table1", "table2", "table4", "mc"])

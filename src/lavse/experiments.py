@@ -239,22 +239,20 @@ def sweep_column_consistency(pairs: Sequence[tuple[float, float]]) -> float:
 def reproduce_table4(model: Optional[MeasurementModel] = None) -> SweepResult:
     """Compare the 3-bus direction sweep against the printed reference."""
     model = model or fixture_model("threebus-dc")
+    # The printed table with SWEEP_ERRATA applied, cell by cell.
+    corrected = [[list(pair) for pair in column] for column in SWEEP_PRINTED]
+    for (j, k, side), (value, _) in SWEEP_ERRATA.items():
+        corrected[k][j][{"s": 0, "q": 1}[side]] = value
     cells: list[SweepCell] = []
     errata_applied = []
-    for k in range(len(SWEEP_DIRECTIONS)):
-        lemma_s, lemma_q = sweep_values(model, SWEEP_DIRECTIONS[k])
+    for k, direction in enumerate(SWEEP_DIRECTIONS):
+        lemma_s, lemma_q = sweep_values(model, direction)
         for j in range(model.m):
             printed_s, printed_q = SWEEP_PRINTED[k][j]
-            target_s, target_q = printed_s, printed_q
-            notes = []
-            if (j, k, "s") in SWEEP_ERRATA:
-                target_s, note = SWEEP_ERRATA[(j, k, "s")]
-                notes.append(note)
-                errata_applied.append((j, k, "s"))
-            if (j, k, "q") in SWEEP_ERRATA:
-                target_q, note = SWEEP_ERRATA[(j, k, "q")]
-                notes.append(note)
-                errata_applied.append((j, k, "q"))
+            target_s, target_q = corrected[k][j]
+            applied = [(j, k, side) for side in "sq" if (j, k, side) in SWEEP_ERRATA]
+            errata_applied.extend(applied)
+            notes = [SWEEP_ERRATA[key][1] for key in applied]
             match = (abs(lemma_q[j] - target_s) <= SWEEP_TOL + 1e-12
                      and abs(lemma_s[j] - target_q) <= SWEEP_TOL + 1e-12)
             cells.append(SweepCell(
@@ -265,26 +263,18 @@ def reproduce_table4(model: Optional[MeasurementModel] = None) -> SweepResult:
                 erratum="; ".join(notes) or None, match=match,
             ))
 
-    printed_consistency = [sweep_column_consistency(SWEEP_PRINTED[k])
-                           for k in range(len(SWEEP_DIRECTIONS))]
-    corrected = []
-    for k in range(len(SWEEP_DIRECTIONS)):
-        pairs = []
-        for j in range(model.m):
-            s_t = SWEEP_ERRATA.get((j, k, "s"), (SWEEP_PRINTED[k][j][0],))[0]
-            q_t = SWEEP_ERRATA.get((j, k, "q"), (SWEEP_PRINTED[k][j][1],))[0]
-            pairs.append((s_t, q_t))
-        corrected.append(sweep_column_consistency(pairs))
+    printed_consistency = [sweep_column_consistency(column) for column in SWEEP_PRINTED]
+    corrected_consistency = [sweep_column_consistency(column) for column in corrected]
 
     # The correction is legitimate only if the printed misprinted column
     # really breaks the sum identity while the corrected one restores it.
     errata_justified = (
         max(printed_consistency[:4]) <= 0.05
         and printed_consistency[4] >= 1.0
-        and max(corrected) <= 0.05
+        and max(corrected_consistency) <= 0.05
     )
     passed = errata_justified and all(c.match for c in cells)
-    return SweepResult(cells, printed_consistency, corrected,
+    return SweepResult(cells, printed_consistency, corrected_consistency,
                        errata_applied, passed)
 
 
@@ -427,47 +417,20 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
                 ties[lab] = ties.get(lab, True) and rep.witnesses[local].is_tie()
 
     rows: list[Ieee14Row] = []
-    cons_hits = strict_hits = tie_hits = 0
-    strict_fp: list[str] = []
-    strict_fn: list[str] = []
-    non_tie: list[str] = []
     for label, biased, ref_blue, ref_red in IEEE14_REFERENCE:
-        ref = {"blue": ref_blue, "red": ref_red}
-        got = ours.get(label, {})
         ref_flag = "LP" in (ref_blue, ref_red)
-        verdicts = set(got.values())
-        merged = (LEVERAGE if LEVERAGE in verdicts
-                  else BOUNDARY if BOUNDARY in verdicts
-                  else CLEAN)
-        conservative_flag = merged in (LEVERAGE, BOUNDARY)
-        strict_flag = merged == LEVERAGE
-        exact_tie = merged == BOUNDARY and ties.get(label, False)
-
-        if conservative_flag == ref_flag:
-            cons_hits += 1
-        if strict_flag == ref_flag:
-            strict_hits += 1
+        merged = report.merged_verdicts.get(label, CLEAN)
+        exact_tie = merged == BOUNDARY and ties[label]
+        # A boundary row is flagged conservatively and clean strictly, so it
+        # always disagrees with the reference under one of the two mappings.
         if merged == BOUNDARY:
-            if not exact_tie:
-                non_tie.append(label)
-                outcome = "mismatch"
-            else:
-                tie_hits += 1
-                outcome = "tie" if strict_flag != ref_flag or conservative_flag != ref_flag else "match"
-        elif strict_flag == ref_flag:
-            tie_hits += 1
-            outcome = "match"
+            outcome = "tie" if exact_tie else "mismatch"
         else:
-            outcome = "mismatch"
-            if strict_flag and not ref_flag:
-                strict_fp.append(label)
-            if ref_flag and not strict_flag:
-                strict_fn.append(label)
-
+            outcome = "match" if (merged == LEVERAGE) == ref_flag else "mismatch"
         rows.append(Ieee14Row(
-            label=label, biased=biased, reference=ref, ours=got,
-            merged_reference_flagged=ref_flag, merged_ours=merged,
-            exact_tie=exact_tie, outcome=outcome,
+            label=label, biased=biased, reference={"blue": ref_blue, "red": ref_red},
+            ours=ours.get(label, {}), merged_reference_flagged=ref_flag,
+            merged_ours=merged, exact_tie=exact_tie, outcome=outcome,
         ))
 
     n = len(IEEE14_REFERENCE)
@@ -480,7 +443,10 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
         for (_, r1), (_, r2) in zip(report.partition_reports, report2.partition_reports)
     )
 
-    agreement_tie_aware = tie_hits / n
+    strict_fp = [r.label for r in rows if r.merged_ours == LEVERAGE and not r.merged_reference_flagged]
+    strict_fn = [r.label for r in rows if r.merged_ours == CLEAN and r.merged_reference_flagged]
+    non_tie = [r.label for r in rows if r.merged_ours == BOUNDARY and not r.exact_tie]
+    agreement_tie_aware = sum(r.outcome != "mismatch" for r in rows) / n
     passed = (
         data_independent
         and agreement_tie_aware >= 0.9
@@ -491,8 +457,10 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
     return Ieee14Result(
         rows=rows,
         report=report,
-        agreement_conservative=cons_hits / n,
-        agreement_strict=strict_hits / n,
+        agreement_conservative=sum(
+            (r.merged_ours != CLEAN) == r.merged_reference_flagged for r in rows) / n,
+        agreement_strict=sum(
+            (r.merged_ours == LEVERAGE) == r.merged_reference_flagged for r in rows) / n,
         agreement_tie_aware=agreement_tie_aware,
         strict_false_positives=strict_fp,
         strict_false_negatives=strict_fn,
@@ -504,35 +472,21 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
 
 # ---------------------------------------------------------------------------
 # Randomized extra-row study.
+#
+# A zero-mean Gaussian row is appended to the
+# 3-bus matrix, measurements are synthesized from random states, a gross
+# error is added to the extra row's measurement, and the detector's verdict
+# on that row is compared with whether the estimate actually deviates from
+# the generating states.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Configuration of the random extra-row study.
-
-    A random zero-mean Gaussian row is appended to the 3-bus matrix,
-    measurements are synthesized from random states, a gross error is added
-    to the extra row's measurement, and the detector's verdict on that row
-    is compared with whether the estimate actually deviates from the
-    generating states.
-    """
-
-    trials: int
-    seed: int
-    row_variance: float = 30.0
-    state_variance: float = 1.0
-    gross_error: float = 10.0
-    boundary_band: float = 0.05
-    deviation_tol: float = 0.1
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidArgument("trials must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be >= 0")
-        if self.row_variance <= 0 or self.state_variance <= 0:
-            raise InvalidArgument("variances must be positive")
+ROW_VARIANCE = 30.0
+STATE_VARIANCE = 1.0
+GROSS_ERROR = 10.0
+# Trials with |margin| below BOUNDARY_BAND are left out of the agreement.
+BOUNDARY_BAND = 0.05
+# The estimate deviates when some state moves by more than DEVIATION_TOL.
+DEVIATION_TOL = 0.1
 
 
 @dataclass
@@ -542,80 +496,65 @@ class MCTrialRecord:
     lav_deviated: bool
     s_q_margin: float
     near_boundary: bool
-    skipped: bool = False
 
 
-def single_trial(base: MeasurementModel, extra_row, theta_true,
-                 cfg: MCConfig) -> MCTrialRecord:
+def single_trial(base: MeasurementModel, extra_row, theta_true) -> MCTrialRecord:
     """Run one augmented-model trial; pure given its inputs."""
     extra_row = np.asarray(extra_row, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
-    if not np.any(extra_row):
-        return MCTrialRecord(extra_row, False, False, float("nan"), False, skipped=True)
-
     h_aug = np.vstack([base.h, extra_row])
     labels = base.labels + ("extra_row",)
     z = h_aug @ theta_true
-    z[-1] += cfg.gross_error
+    z[-1] += GROSS_ERROR
     aug = MeasurementModel(h_aug, z, labels)
 
     j = aug.m - 1
     margin, witness = leverage_margin(aug, j)
     solution = solve_lav(aug)
-    deviated = bool(np.max(np.abs(solution.theta_hat - theta_true)) > cfg.deviation_tol)
+    deviated = bool(np.max(np.abs(solution.theta_hat - theta_true)) > DEVIATION_TOL)
     return MCTrialRecord(
         extra_row=extra_row,
         detector_flagged=witness is not None,
         lav_deviated=deviated,
         s_q_margin=margin,
-        near_boundary=abs(margin) < cfg.boundary_band,
+        near_boundary=abs(margin) < BOUNDARY_BAND,
     )
 
 
-def run_monte_carlo(base: Optional[MeasurementModel], cfg: MCConfig,
-                    csv_path=None) -> list[MCTrialRecord]:
-    """Seeded trials of ``single_trial``; optionally emits a CSV.
+def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord]:
+    """Seeded trials of ``single_trial`` on the 3-bus model; optionally emits a CSV.
 
-    CSV columns: h81, h82, flagged, deviated, margin.  Skipped trials
-    (identically zero extra row, probability zero under the Gaussian draw)
-    are kept in the returned list but omitted from the CSV.
+    CSV columns: h81, h82, flagged, deviated, margin.
     """
-    base = base or fixture_model("threebus-dc")
-    rng = np.random.default_rng(cfg.seed)
+    if trials < 1:
+        raise InvalidArgument("trials must be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be >= 0")
+    base = fixture_model("threebus-dc")
+    rng = np.random.default_rng(seed)
     records = []
-    for _ in range(cfg.trials):
-        extra = rng.normal(0.0, math.sqrt(cfg.row_variance), size=base.n)
-        theta = rng.normal(0.0, math.sqrt(cfg.state_variance), size=base.n)
-        records.append(single_trial(base, extra, theta, cfg))
+    for _ in range(trials):
+        extra = rng.normal(0.0, math.sqrt(ROW_VARIANCE), size=base.n)
+        theta = rng.normal(0.0, math.sqrt(STATE_VARIANCE), size=base.n)
+        records.append(single_trial(base, extra, theta))
     if csv_path is not None:
-        write_mc_csv(records, cfg, csv_path)
+        write_mc_csv(records, seed, csv_path)
     return records
 
 
-def write_mc_csv(records: Sequence[MCTrialRecord], cfg: MCConfig, path) -> None:
+def write_mc_csv(records: Sequence[MCTrialRecord], seed: int, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# trials={cfg.trials} seed={cfg.seed} row_variance={cfg.row_variance} "
-                 f"state_variance={cfg.state_variance} gross_error={cfg.gross_error} "
-                 f"deviation_tol={cfg.deviation_tol} boundary_band={cfg.boundary_band}\n")
+        fh.write(f"# trials={len(records)} seed={seed} row_variance={ROW_VARIANCE} "
+                 f"state_variance={STATE_VARIANCE} gross_error={GROSS_ERROR} "
+                 f"deviation_tol={DEVIATION_TOL} boundary_band={BOUNDARY_BAND}\n")
         writer = csv.writer(fh)
         writer.writerow(["h81", "h82", "flagged", "deviated", "margin"])
         for rec in records:
-            if rec.skipped:
-                continue
             writer.writerow([
                 f"{rec.extra_row[0]:.17g}", f"{rec.extra_row[1]:.17g}",
                 int(rec.detector_flagged), int(rec.lav_deviated),
                 f"{rec.s_q_margin:.17g}",
             ])
-
-
-def agreement_rate(records: Sequence[MCTrialRecord]) -> float:
-    """Fraction of detector/deviation agreement outside the boundary band."""
-    eligible = [r for r in records if not r.skipped and not r.near_boundary]
-    if not eligible:
-        return float("nan")
-    hits = sum(r.detector_flagged == r.lav_deviated for r in eligible)
-    return hits / len(eligible)
 
 
 @dataclass
@@ -626,8 +565,8 @@ class MCResult:
     passed: bool
 
     def render(self) -> str:
-        flagged = sum(r.detector_flagged for r in self.records if not r.skipped)
-        deviated = sum(r.lav_deviated for r in self.records if not r.skipped)
+        flagged = sum(r.detector_flagged for r in self.records)
+        deviated = sum(r.lav_deviated for r in self.records)
         return "\n".join([
             f"trials: {len(self.records)} (flagged {flagged}, deviated {deviated})",
             f"agreement outside boundary band: {self.agreement:.4f} over {self.eligible} trials",
@@ -638,8 +577,8 @@ class MCResult:
 def reproduce_mc(trials: int = 2000, seed: int = 20260809,
                  csv_path=None) -> MCResult:
     """Detector-vs-deviation agreement >= 95% outside a 5% boundary band."""
-    cfg = MCConfig(trials=trials, seed=seed)
-    records = run_monte_carlo(None, cfg, csv_path=csv_path)
-    eligible = [r for r in records if not r.skipped and not r.near_boundary]
-    agreement = agreement_rate(records)
+    records = run_monte_carlo(trials, seed, csv_path=csv_path)
+    eligible = [r for r in records if not r.near_boundary]
+    hits = sum(r.detector_flagged == r.lav_deviated for r in eligible)
+    agreement = hits / len(eligible) if eligible else float("nan")
     return MCResult(records, agreement, len(eligible), passed=agreement >= 0.95)

@@ -197,14 +197,15 @@ def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:
     Any minimizer of the piecewise-linear objective lies at an intersection
     of N zero-residual loci, so evaluating the objective at the solution of
     every nonsingular N-row subsystem and keeping the best is exact.  Ties
-    within 1e-9 keep the lexicographically first subset and mark the
-    solution degenerate.
+    within 1e-9 * |z|_inf keep the lexicographically first subset and mark
+    the solution degenerate.
     """
     m, n = model.m, model.n
     if m > ORACLE_MAX_M or n > ORACLE_MAX_N:
         raise TooLarge(f"oracle guard: need M <= {ORACLE_MAX_M} and N <= {ORACLE_MAX_N}")
     validate_model(model)
 
+    tol = 1e-9 * np.abs(model.z).max(initial=0.0)
     best_theta = None
     best_obj = np.inf
     degenerate = False
@@ -216,10 +217,10 @@ def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:
         theta = np.linalg.solve(sub, model.z[list(subset)])
         obj = objective_at(model, theta)
         evaluated += 1
-        if obj < best_obj - 1e-9:
+        if obj < best_obj - tol:
             best_theta, best_obj = theta, obj
             degenerate = False
-        elif abs(obj - best_obj) <= 1e-9 and not np.allclose(theta, best_theta, atol=1e-9):
+        elif abs(obj - best_obj) <= tol and not np.allclose(theta, best_theta, atol=tol):
             degenerate = True
     if best_theta is None:
         raise RankDeficient(matrix_rank(model.h), n, "no nonsingular subsystem")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,7 +119,6 @@ class LeverageReport:
     witnesses: dict[int, LeverageWitness]
     combos_examined: int
     combos_skipped_degenerate: int = 0
-    notes: list[str] = field(default_factory=list)
 
     def flagged_rows(self) -> list[int]:
         return [i for i, v in enumerate(self.verdicts) if v in (LEVERAGE, BOUNDARY)]
@@ -137,11 +136,7 @@ class LeverageReport:
                     "q": w.q,
                 }
             rows.append(entry)
-        return {
-            "rows": rows,
-            "combos_examined": self.combos_examined,
-            "notes": list(self.notes),
-        }
+        return {"rows": rows, "combos_examined": self.combos_examined}
 
     def render_table(self) -> str:
         width = max(len(s) for s in self.labels + ("measurement",))
@@ -152,7 +147,6 @@ class LeverageReport:
             q = f"{w.q:.4g}" if w else "-"
             lines.append(f"{self.labels[i]:<{width}}  {verdict:<9}  {s:>10}  {q:>10}")
         lines.append(f"{self.combos_examined} simplex pivots over the per-row fits")
-        lines.extend(self.notes)
         return "\n".join(lines)
 
 

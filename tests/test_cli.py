@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,19 +172,19 @@ class TestPsAndMc:
         assert doc["degenerate"] is True
         assert doc["ps"] == [None] * len(doc["dof"])
 
-    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--row-variance", "-1"],
-                                      ["--seed", "-1"]])
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-1"]])
     def test_mc_bad_config_exit_3(self, flag, capsys):
-        argv = ["mc", "--trials", "1", "--seed", "7", *flag]
-        assert cli.main(argv) == 3
+        assert cli.main(["reproduce", "mc", *flag]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_mc_single_trial_csv(self, tmp_path, capsys):
+    def test_reproduce_mc_csv(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
-        assert cli.main(["mc", "--trials", "1", "--seed", "7", "--out", str(out)]) == 0
+        assert cli.main(["reproduce", "mc", "--trials", "3", "--seed", "7",
+                         "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
+        assert lines[0].startswith("# trials=3 seed=7 ")
         assert lines[1] == "h81,h82,flagged,deviated,margin"
-        assert len(lines) == 3
+        assert len(lines) == 5
 
 
 @pytest.mark.parametrize("argv", [["build", "threebus-dc", "--model", "dc"],
@@ -209,7 +212,9 @@ def test_reused_parser_carries_no_option_over(three_bus_file, tmp_path, capsys):
                                   ["estimate", "m.json", "--format", "xml"], ["nope"],
                                   ["detect", "m.json", "--boundary-tol", "1e-9"],
                                   ["detect", "m.json", "--strict-margin", "1e-6"],
-                                  ["estimate", "m.json", "--zero-tol", "1e-8"]])
+                                  ["estimate", "m.json", "--zero-tol", "1e-8"],
+                                  ["mc", "--trials", "1", "--seed", "7"],
+                                  ["reproduce", "mc", "--row-variance", "30"]])
 def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -305,7 +310,8 @@ FUZZ_CASES = (
 )
 
 
-# Bad mc settings are covered by TestPsAndMc.test_mc_bad_config_exit_3.
+# Bad mc settings are covered by TestPsAndMc.test_mc_bad_config_exit_3, and ps on
+# a rank-deficient model by test_ps_on_rank_deficient_model_exits_0 below.
 @pytest.mark.parametrize("argv,text", FUZZ_CASES)
 def test_malformed_input_exits_with_documented_code(argv, text, tmp_path, capsys):
     doc = tmp_path / "doc.json"
@@ -318,9 +324,31 @@ def test_malformed_input_exits_with_documented_code(argv, text, tmp_path, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):
+    # Projection statistics need no column rank, unlike estimate and detect.
+    mpath = tmp_path / "rank1.json"
+    mpath.write_text(BAD_DOCUMENTS["rank-deficient"])
+    assert cli.main(["ps", str(mpath), "--format", "json"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert len(doc["ps"]) == 2
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "lavse.cli", "build", "threebus-dc",
                            "--model", "dc", "--format", "csv"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10,-10"
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("lavse ")}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)

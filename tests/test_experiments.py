@@ -7,11 +7,11 @@ import pytest
 
 from lavse import MeasurementModel, fixture_model
 from lavse.experiments import (
-    MCConfig,
+    DEVIATION_TOL,
+    GROSS_ERROR,
     SWEEP_DIRECTIONS,
     SWEEP_ERRATA,
     SWEEP_PRINTED,
-    agreement_rate,
     reproduce_mc,
     reproduce_table1,
     reproduce_table2,
@@ -111,24 +111,26 @@ class TestIeee14Reproduction:
 
 class TestMonteCarlo:
     def test_determinism(self, tmp_path):
-        cfg = MCConfig(trials=50, seed=99)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        run_monte_carlo(None, cfg, csv_path=a)
-        run_monte_carlo(None, cfg, csv_path=b)
+        run_monte_carlo(50, 99, csv_path=a)
+        run_monte_carlo(50, 99, csv_path=b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_row_skipped(self):
+    def test_zero_row_is_clean(self):
+        # A zero extra row has q = 0 on every basis: no witness, margin -inf,
+        # and the fit ignores its gross error.
         base = fixture_model("threebus-dc")
-        cfg = MCConfig(trials=1, seed=0)
-        rec = single_trial(base, np.zeros(2), np.zeros(2), cfg)
-        assert rec.skipped
-        assert math.isnan(rec.s_q_margin)
+        for theta in (np.zeros(2), np.array([0.3, -1.2])):
+            rec = single_trial(base, np.zeros(2), theta)
+            assert not rec.detector_flagged
+            assert not rec.lav_deviated
+            assert rec.s_q_margin == -math.inf
+            assert not rec.near_boundary
 
     def test_strong_in_distribution_row_flags_and_deviates(self):
         base = fixture_model("threebus-dc")
-        cfg = MCConfig(trials=1, seed=0)
-        rec = single_trial(base, np.array([30.0, -30.0]), np.zeros(2), cfg)
+        rec = single_trial(base, np.array([30.0, -30.0]), np.zeros(2))
         assert rec.detector_flagged and rec.lav_deviated
 
     def test_huge_row_flags_but_state_shift_is_small(self):
@@ -136,29 +138,27 @@ class TestMonteCarlo:
         # 10 p.u. error needs only a ~10/|h.v| state move, which lands below
         # the 0.1 deviation threshold; the bias is still nonzero.
         base = fixture_model("threebus-dc")
-        cfg = MCConfig(trials=1, seed=0)
         extra = np.array([1000.0, -1000.0])
         theta = np.zeros(2)
-        rec = single_trial(base, extra, theta, cfg)
+        rec = single_trial(base, extra, theta)
         assert rec.detector_flagged
         assert not rec.lav_deviated
         from lavse import solve_lav
         h_aug = np.vstack([base.h, extra])
         z = h_aug @ theta
-        z[-1] += cfg.gross_error
+        z[-1] += GROSS_ERROR
         aug = MeasurementModel(h_aug, z, base.labels + ("x",))
         sol = solve_lav(aug)
-        assert 1e-4 < np.max(np.abs(sol.theta_hat - theta)) < cfg.deviation_tol
+        assert 1e-4 < np.max(np.abs(sol.theta_hat - theta)) < DEVIATION_TOL
 
     def test_negation_symmetry(self):
         base = fixture_model("threebus-dc")
-        cfg = MCConfig(trials=1, seed=0)
         rng = np.random.default_rng(123)
         for _ in range(50):
             extra = rng.normal(0, math.sqrt(30.0), size=2)
             theta = rng.normal(size=2)
-            a = single_trial(base, extra, theta, cfg)
-            b = single_trial(base, -extra, theta, cfg)
+            a = single_trial(base, extra, theta)
+            b = single_trial(base, -extra, theta)
             assert a.detector_flagged == b.detector_flagged
             assert a.lav_deviated == b.lav_deviated
             assert a.s_q_margin == pytest.approx(b.s_q_margin, abs=1e-9)
@@ -170,16 +170,15 @@ class TestMonteCarlo:
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "mc.csv"
-        run_monte_carlo(None, MCConfig(trials=3, seed=1), csv_path=path)
+        run_monte_carlo(3, 1, csv_path=path)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
+        assert lines[0].startswith("# trials=3 seed=1 ")
         assert lines[1] == "h81,h82,flagged,deviated,margin"
         assert len(lines) == 5
 
     def test_agreement_rate_ignores_band(self):
-        cfg = MCConfig(trials=1, seed=0)
-        recs = run_monte_carlo(None, MCConfig(trials=200, seed=5))
-        eligible = [r for r in recs if not r.skipped and not r.near_boundary]
-        rate = agreement_rate(recs)
+        result = reproduce_mc(trials=200, seed=5)
+        eligible = [r for r in result.records if not r.near_boundary]
         manual = sum(r.detector_flagged == r.lav_deviated for r in eligible) / len(eligible)
-        assert rate == pytest.approx(manual)
+        assert result.eligible == len(eligible) < 200
+        assert result.agreement == pytest.approx(manual)

@@ -115,6 +115,16 @@ class TestVertexOracle:
         assert sol.degenerate
         assert sol.theta_hat[0] == pytest.approx(0.0)  # lexicographically first subset
 
+    def test_ties_scale_with_z(self):
+        # Objectives 8e-10 and 9e-10 differ by less than 1e-9: only a tolerance
+        # relative to |z| keeps them apart.
+        model = MeasurementModel(np.ones((3, 1)), 1e-10 * np.array([1.0, 2.0, 9.0]),
+                                 ("a", "b", "c"))
+        sol = lav_vertex_oracle(model)
+        assert sol.theta_hat[0] == pytest.approx(2e-10, rel=1e-12)
+        assert sol.objective == pytest.approx(8e-10, rel=1e-12)
+        assert not sol.degenerate
+
     def test_guard(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(21, 2))
