@@ -138,7 +138,17 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# The reproduce options each target reads; giving any other is a usage error.
+_REPRODUCE_OPTIONS = {"table1": {"partitions"}, "table2": set(), "table4": set(),
+                      "mc": {"trials", "seed", "out"}}
+_MC_TRIALS = 2000
+_MC_SEED = 20260809
+
+
 def cmd_reproduce(args) -> int:
+    for name in ("partitions", "trials", "seed", "out"):
+        if getattr(args, name) is not None and name not in _REPRODUCE_OPTIONS[args.target]:
+            args.parser.error(f"argument --{name}: not used by reproduce {args.target}")
     if args.target == "table4":
         result = experiments.reproduce_table4()
         print(result.render())
@@ -153,8 +163,9 @@ def cmd_reproduce(args) -> int:
         result = experiments.reproduce_table1(model, parts)
         print(result.render())
     else:
-        result = experiments.reproduce_mc(trials=args.trials, seed=args.seed,
-                                          csv_path=args.out)
+        result = experiments.reproduce_mc(
+            trials=_MC_TRIALS if args.trials is None else args.trials,
+            seed=_MC_SEED if args.seed is None else args.seed, csv_path=args.out)
         print(result.render())
     return EXIT_OK if result.passed else EXIT_MISMATCH
 
@@ -199,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="check bundled reference results")
     p.add_argument("target", choices=["table1", "table2", "table4", "mc"])
     p.add_argument("--partitions", help="partition JSON file (table1 only)")
-    p.add_argument("--trials", type=int, default=2000, help="mc only")
-    p.add_argument("--seed", type=int, default=20260809, help="mc only")
+    p.add_argument("--trials", type=int, help=f"mc only (default {_MC_TRIALS})")
+    p.add_argument("--seed", type=int, help=f"mc only (default {_MC_SEED})")
     p.add_argument("--out", help="CSV output path (mc only)")
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(func=cmd_reproduce, parser=p)
 
     return parser
 

@@ -8,8 +8,10 @@ with those N rows as its basis (the LAV simplex of Barrodale and Roberts,
 SIAM J. Numer. Anal. 10(5), 1973), so its pivots work on an N x N inverse
 however many rows there are.  A fixed tiny shift of z keeps every other
 residual away from zero, the classical cure for cycling on degenerate
-vertices (Charnes, Econometrica 20(2), 1952).  The leverage test
-(``leverage.py``) runs its per-row fits through the same ``simplex``.
+vertices (Charnes, Econometrica 20(2), 1952).  ``simplex`` takes a stack
+of fits of one shape and pivots them in lockstep, so the leverage test
+(``leverage.py``) solves the per-row fits of a whole block in one call;
+``solve_lav`` is a stack of one.
 ``lav_vertex_oracle`` solves the problem by brute-force enumeration of
 the square subsystems whose solutions are the candidate vertices; it
 exists to cross-check the simplex and is guarded to small sizes.
@@ -17,6 +19,7 @@ exists to cross-check the simplex and is guarded to small sizes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -101,32 +104,50 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
 def solve_lav(model: MeasurementModel, max_iter: int | None = None) -> LavSolution:
     """Globally minimize the sum of absolute residuals."""
     validate_model(model)
-    theta, _, iterations, degenerate = simplex(model.h, model.z, max_iter)
-    return _finish(model, theta, iterations, degenerate)
+    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None], max_iter)
+    return _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _shift(m: int) -> np.ndarray:
+    """The fixed shift of z per row, relative to |z|_inf: the same for every fit of m rows."""
+    shift = np.random.default_rng(0).uniform(-_SHIFT, _SHIFT, m)
+    shift.flags.writeable = False
+    return shift
 
 
 def _start_rows(h: np.ndarray) -> np.ndarray:
-    """N independent rows, each the largest after projecting out the earlier ones."""
-    n = h.shape[1]
-    q = np.zeros((n, n))  # orthonormal rows spanning the rows chosen so far
-    norms = np.einsum("ij,ij->i", h, h)  # squared norms left after the projection
-    rows = np.zeros(n, dtype=int)
+    """N independent rows of each fit, each the largest after projecting out the earlier ones."""
+    fits, m, n = h.shape
+    q = np.zeros((fits, n, n))  # orthonormal rows spanning the rows chosen so far
+    q_t = q.transpose(0, 2, 1)
+    norms = np.einsum("fij,fij->fi", h, h)  # squared norms left after the projection
+    rows = np.empty((fits, n), dtype=np.intp)
+    first = np.arange(fits) * m  # each fit's first row in the stacked rows
+    stacked, left = h.reshape(fits * m, n), norms.reshape(-1)
     for k in range(n):
-        rows[k] = i = int(np.argmax(norms))
-        u = h[i] - (q @ h[i]) @ q
-        u -= (q @ u) @ q  # a second pass restores the orthogonality lost to rounding
-        q[k] = u / np.linalg.norm(u)
-        norms -= (h @ q[k]) ** 2
-        norms[i] = -np.inf
+        rows[:, k] = i = norms.argmax(axis=1)
+        if k == n - 1:  # the rest of a step only serves the next one
+            break
+        i += first
+        u = stacked[i][:, None]  # one row vector per fit: u @ q_t is q u
+        u -= (u @ q_t) @ q
+        u -= (u @ q_t) @ q  # a second pass restores the orthogonality lost to rounding
+        u_t = u.transpose(0, 2, 1)
+        u /= np.sqrt(u @ u_t)
+        q[:, k] = u[:, 0]
+        norms -= (h @ u_t)[..., 0] ** 2
+        left[i] = -np.inf
     return rows
 
 
 def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
-            ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Vertex minimizer of sum |z - h theta| for a full-column-rank h.
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex minimizers of sum |z_f - h_f theta| for a stack of full-column-rank h_f.
 
-    Returns theta, the N rows the vertex fits exactly (sorted; their rows
-    of h are linearly independent), the pivot count and the degeneracy flag.
+    h is (F, M, N) and z is (F, M).  Returns theta (F, N), the N rows each
+    vertex fits exactly (F, N, sorted; their rows of h_f are linearly
+    independent), the pivot count of each fit and its degeneracy flag.
 
     The basis is the N fitted rows H_B, and theta = H_B^-1 z_B.  With s_i
     the sign of the residual of each other row, the duals y solve
@@ -140,55 +161,102 @@ def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
     so no residual outside the basis is ever zero, every pivot lowers the
     objective and the method cannot cycle.  Theta is then recomputed from
     the unshifted z on the final basis.  The basis inverse takes a rank-one
-    update per pivot and is recomputed every _REFACTOR_EVERY pivots.
+    update per pivot and is recomputed every _REFACTOR_EVERY pivots; the
+    residuals move by the step of each pivot and are recomputed with the
+    inverse.
+
+    The fits pivot in lockstep, each on its own basis and with the
+    arithmetic it would have alone, so a fit takes the same pivots in any
+    stack.  Their products run as stacked matrix products, and a fit leaves
+    the stack once it is optimal.
     """
-    m, n = h.shape
+    fits, m, n = h.shape
     if max_iter is None:
         max_iter = 1000 + 50 * (m + n)
-    basis = _start_rows(h)
+    first = (np.arange(fits) * m)[:, None]  # each fit's first row in the stacked rows
+    final = _start_rows(h)  # each fit's basis once it stops pivoting
+    pivots = np.zeros(fits, dtype=np.intp)
+    degenerate = np.zeros(fits, dtype=bool)
+    rows, zs = h.reshape(fits * m, n), z.reshape(-1)
     iterations = 0
     try:
-        b_inv = np.linalg.inv(h[basis])
         # solve, unlike b_inv @ z, is backward stable: a consistent z fits to 0.
-        theta = np.linalg.solve(h[basis], z[basis])
-        scale = float(np.abs(z).max(initial=0.0))
-        if np.abs(z - h @ theta).max(initial=0.0) <= _CONSISTENT_TOL * scale:
-            # Consistent z: the unique fit with objective zero.
-            return theta, np.sort(basis), 0, False
-        shifted = z + np.random.default_rng(0).uniform(-_SHIFT, _SHIFT, m) * scale
-        while True:
-            if iterations and iterations % _REFACTOR_EVERY == 0:
-                b_inv = np.linalg.inv(h[basis])
-            residual = shifted - h @ (b_inv @ shifted[basis])
-            sign = np.sign(residual)
-            sign[basis] = 0.0
-            y = -(sign @ h) @ b_inv
-            if np.abs(y).max(initial=0.0) <= 1.0 + _OPT_TOL:
-                break
-            if iterations >= max_iter:
-                raise MaxIterations(f"simplex exceeded {max_iter} iterations")
-            k = int(np.argmax(np.abs(y)))
-            column = b_inv[:, k]
-            a = h @ (-np.sign(y[k]) * column)
-            # Rows whose residual crosses zero along d, at t = residual / a.
-            crossing = np.flatnonzero(sign * a > _PIVOT_TOL * np.abs(a).max())
-            if crossing.size == 0:
-                raise UnboundedProblem("no breakpoint; should not happen for a full-rank h")
-            crossing = crossing[np.argsort(residual[crossing] / a[crossing])]
-            slope = 1.0 - abs(y[k]) + 2.0 * np.cumsum(np.abs(a[crossing]))
-            entering = int(crossing[min(np.searchsorted(slope, 0.0), crossing.size - 1)])
-            w = h[entering] @ b_inv
-            pivot = column / w[k]
-            b_inv -= np.outer(pivot, w)
-            b_inv[:, k] = pivot
-            basis[k] = entering
-            iterations += 1
-        theta = np.linalg.solve(h[basis], z[basis])
+        at = final + first
+        theta = np.linalg.solve(rows[at], zs[at][..., None])
+        scale = np.abs(z).max(axis=1, initial=0.0)
+        # A consistent z has one fit, with objective zero: its start.
+        misfit = np.abs(z - (h @ theta)[..., 0]).max(axis=1, initial=0.0)
+        live = np.flatnonzero(misfit > _CONSISTENT_TOL * scale)  # the fit in each slot
+        # The fits still pivoting, stacked; their bases index the stacked rows.
+        slot, lead = np.arange(live.size), first[:live.size]
+        stack, basis = (h, at) if live.size == fits else (h[live], final[live] + lead)
+        stacked = stack.reshape(live.size * m, n)
+        b_inv = np.linalg.inv(stacked[basis])
+        shifted = z[live] + _shift(m) * scale[live, None]
+        # Rows off the line search divide by a zero a; their ratio is discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while live.size:
+                if iterations % _REFACTOR_EVERY == 0:
+                    if iterations:
+                        b_inv = np.linalg.inv(stacked[basis])
+                    vertex = b_inv @ shifted.reshape(-1)[basis][..., None]
+                    residual = shifted - (stack @ vertex)[..., 0]
+                sign = np.sign(residual)
+                sign.reshape(-1)[basis] = 0.0
+                y = ((sign[:, None] @ stack) @ b_inv)[:, 0]  # the duals, negated
+                size = np.abs(y)
+                top = np.maximum.reduce(size, axis=1, keepdims=True, initial=0.0)
+                done = (top <= 1.0 + _OPT_TOL).nonzero()[0]
+                if done.size:
+                    final[live[done]] = basis[done] - lead[done]
+                    pivots[live[done]] = iterations
+                    # Alternative optimum: releasing some basis row leaves the objective flat.
+                    degenerate[live[done]] = (size[done] >= 1.0 - _OPT_TOL).any(axis=1)
+                    if done.size == live.size:
+                        break
+                    keep = top[:, 0] > 1.0 + _OPT_TOL
+                    live, basis = live[keep], basis[keep] - lead[keep]
+                    stack, b_inv, shifted, residual, sign, y, size, top = (
+                        x[keep] for x in (stack, b_inv, shifted, residual, sign, y, size, top))
+                    slot, lead = slot[:live.size], first[:live.size]
+                    stacked = stack.reshape(live.size * m, n)
+                    basis += lead
+                if iterations >= max_iter:
+                    raise MaxIterations(f"simplex exceeded {max_iter} iterations")
+                k = size.argmax(axis=1)
+                column = b_inv[slot, :, k]
+                # a2 = 2 h d exactly, so every test below is the one on h d,
+                # and the 2 of the slope is folded in.
+                a2 = (stack @ (column * np.copysign(2.0, y[slot, k])[:, None])[..., None])[..., 0]
+                size_a = np.abs(a2)
+                # Rows whose residual crosses zero along d, at t = residual / a.
+                floor = np.maximum.reduce(size_a, axis=1, keepdims=True) * _PIVOT_TOL
+                crossing = sign * a2 > floor
+                count = np.add.reduce(crossing, axis=1)
+                if not count.all():
+                    raise UnboundedProblem("no breakpoint; should not happen for a full-rank h")
+                ratio = np.where(crossing, residual / a2, np.inf)
+                order = ratio.argsort(axis=1)
+                order += lead
+                # The slope 1 - |y_k| + 2 sum |a| is negative while the sum is
+                # below |y_k| - 1 (fl(x - c) < 0 exactly when x < c).  The first
+                # row at which it turns non-negative enters, else the last crossing.
+                gain = np.add.accumulate(size_a.reshape(-1)[order], axis=1)
+                gain[slot, count - 1] = np.inf
+                entering = order[slot, (gain < top - 1.0).argmin(axis=1)]
+                basis[slot, k] = entering
+                iterations += 1
+                if iterations % _REFACTOR_EVERY:  # else the next pass recomputes both
+                    residual -= ratio.reshape(-1)[entering][:, None] * a2
+                    w = (stacked[entering][:, None] @ b_inv)[:, 0]
+                    pivot = column / w[slot, k][:, None]
+                    b_inv -= np.einsum("fi,fj->fij", pivot, w)  # the outer product, in one pass
+                    b_inv[slot, :, k] = pivot
+        at = final + first
+        theta = np.linalg.solve(rows[at], zs[at][..., None])
     except np.linalg.LinAlgError as err:
         raise LavseError(f"simplex basis became singular after {iterations} pivots: {err}") from None
-    # Alternative optimum: releasing some basis row leaves the objective flat.
-    degenerate = bool((np.abs(y) >= 1.0 - _OPT_TOL).any())
-    return theta, np.sort(basis), iterations, degenerate
+    return theta[..., 0], np.sort(final, axis=1), pivots, degenerate
 
 
 def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:

@@ -16,17 +16,19 @@ Each candidate basis of N-1 rows is a vertex of the LAV problem
 whose optimum is the smallest s/q over all bases (the LP view of Giloni and
 Padberg, SIAM J. Optim. 14(4), 2004).  Eliminating the coordinate of v with
 the largest |h_jc| turns it into an (M-1) x (N-1) LAV fit, which runs
-through the same simplex as ``solve_lav``.  The fit's N-1 exactly fitted
-rows are the witness basis and the fit itself gives v; s and q are
-recomputed over every row and graded by ``classify`` on the relative
-margin (q - s)/q, which does not change when H is multiplied by a
-constant.  The verdict thus comes from the best basis, so it is canonical,
+through the same simplex as ``solve_lav``; the fits of all rows have that
+one shape, so they run as one stack of the simplex.  The fit's N-1
+exactly fitted rows are the witness basis and the fit itself gives v; s
+and q are recomputed over every row and graded by ``classify`` on the
+relative margin (q - s)/q, which does not change when H is multiplied by
+a constant.  The verdict thus comes from the best basis, so it is canonical,
 and the cost is polynomial rather than C(M-1, N-1) bases per row.
 ``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
 reference for tests.  ``detect_all`` first splits the model into connected
 blocks of the row-support graph: rows in one block are orthogonal to null
 directions of another, so per-block detection yields the same verdicts on
-smaller fits.
+smaller fits.  Each block's rows go to the simplex in stacks of at most
+_BATCH_BYTES; a fit's pivots and result do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ CLEAN = "clean"
 # or a near miss) when -_TIE <= mu < _STRICT, clean below.
 _STRICT = 1e-6
 _TIE = 1e-9
+
+# Bytes of per-row systems that ``detect_all`` stacks into one simplex call,
+# each counted as its block's M x N floats; a larger block is solved in
+# several stacks, which bounds the memory of whole-model detection.
+_BATCH_BYTES = 1 << 20
 
 
 def combination_count(m: int, n: int) -> int:
@@ -173,27 +180,40 @@ def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[Leverag
     return witness.margin(), None if classify(witness) == CLEAN else witness
 
 
-def _row_test(h: np.ndarray, j: int) -> tuple[Optional[LeverageWitness], int]:
-    """Witness of the best basis (None for a zero row) and simplex pivots for row j.
+def _row_tests(h: np.ndarray, rows: np.ndarray) -> tuple[list[LeverageWitness], int]:
+    """Witness of the best basis of each given nonzero row of h, and the simplex pivots.
 
-    The best basis is the vertex of min sum_{i != j} |h_i . v| subject to
-    h_j . v = 1.  With c the largest |h_jc| (partial pivoting), v_c = (1 -
-    sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with r_i =
-    h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of r on
-    g.  g has full column rank whenever h does, since g w = 0 forces h v = 0.
-    The fit's w, completed by v_c and scaled to unit length, is the null
-    vector of the witness basis.
+    The best basis of row j is the vertex of min sum_{i != j} |h_i . v|
+    subject to h_j . v = 1.  With c the largest |h_jc| (partial pivoting),
+    v_c = (1 - sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with
+    r_i = h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of
+    r on g.  g has full column rank whenever h does, since g w = 0 forces
+    h v = 0.  The fit's w, completed by v_c and scaled to unit length, is
+    the null vector of the witness basis.  Every row's g is (M-1) x (N-1),
+    so the fits of all the rows run as one stack through ``simplex``.
     """
-    if not h[j].any():  # zero row: no support, cannot dominate any direction
-        return None, 0
-    c = int(np.argmax(np.abs(h[j])))
-    others = np.delete(np.arange(h.shape[0]), j)
-    r = h[others, c] / h[j, c]
-    hj_rest = np.delete(h[j], c)
-    g = np.outer(r, hj_rest) - np.delete(h[others], c, axis=1)
+    m, n = h.shape
+    fits = np.arange(rows.size)
+    hj = h[rows]
+    c = np.argmax(np.abs(hj), axis=1)
+    others = np.arange(m - 1) + (np.arange(m - 1) >= rows[:, None])  # every row but j
+    rest = np.arange(n - 1) + (np.arange(n - 1) >= c[:, None])  # every column but c
+    lead = hj[fits, c]
+    r = h[others, c[:, None]] / lead[:, None]
+    hj_rest = hj[fits[:, None], rest]
+    g = r[:, :, None] * hj_rest[:, None] - h[others[:, :, None], rest[:, None]]
     w, tight, pivots, _ = simplex(g, r)
-    v = np.insert(w, c, (1.0 - hj_rest @ w) / h[j, c])
-    return _witness(h, j, others[tight], oriented(v / np.linalg.norm(v))), pivots
+    v = np.empty((rows.size, n))
+    v[fits[:, None], rest] = w
+    v[fits, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+    v = oriented(v / np.sqrt(v[:, None] @ v[..., None])[:, 0])
+    proj = np.abs(h @ v[..., None])[..., 0]
+    q = proj[fits, rows]
+    s = proj.sum(axis=1) - q
+    bases = others[fits[:, None], tight].tolist()
+    witnesses = [LeverageWitness(row_index=j, basis=tuple(b), v=vj, s=sj, q=qj)
+                 for j, b, vj, sj, qj in zip(rows.tolist(), bases, v, s.tolist(), q.tolist())]
+    return witnesses, int(pivots.sum())
 
 
 def _checked_row(model: MeasurementModel, j: int) -> None:
@@ -215,7 +235,9 @@ def leverage_margin(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
     row has margin -inf and no witness.
     """
     _checked_row(model, j)
-    return _graded(_row_test(model.h, j)[0])
+    if not model.h[j].any():  # zero row: no support, cannot dominate any direction
+        return -np.inf, None
+    return _graded(_row_tests(model.h, np.array([j]))[0][0])
 
 
 def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
@@ -286,15 +308,19 @@ def detect_all(model: MeasurementModel) -> LeverageReport:
     pivots = 0
     for rows, cols in _support_components(model.h):
         sub = model.h[np.ix_(rows, cols)]
-        for local_j, j in enumerate(rows):
-            w, spent = _row_test(sub, local_j)
+        batch = max(1, _BATCH_BYTES // (sub.itemsize * sub.size))  # rows per stack
+        for start in range(0, len(rows), batch):
+            tested, spent = _row_tests(sub, np.arange(start, min(start + batch, len(rows))))
             pivots += spent
-            verdicts[j] = classify(w)
-            if verdicts[j] != CLEAN:
-                v_full = np.zeros(model.n)
-                v_full[cols] = w.v
-                witnesses[j] = LeverageWitness(row_index=j, basis=tuple(rows[b] for b in w.basis),
-                                               v=v_full, s=w.s, q=w.q)
+            for w in tested:
+                j = rows[w.row_index]
+                verdicts[j] = classify(w)
+                if verdicts[j] != CLEAN:
+                    v_full = np.zeros(model.n)
+                    v_full[cols] = w.v
+                    witnesses[j] = LeverageWitness(row_index=j,
+                                                   basis=tuple(rows[b] for b in w.basis),
+                                                   v=v_full, s=w.s, q=w.q)
     return LeverageReport(
         labels=model.labels,
         verdicts=verdicts,

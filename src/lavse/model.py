@@ -189,9 +189,11 @@ def nullspace_unit_vector(rows: np.ndarray) -> np.ndarray:
 
 
 def oriented(v: np.ndarray) -> np.ndarray:
-    """v or -v, whichever has its first nonzero component positive."""
-    lead = np.argmax(np.abs(v) > _SIGN_TOL)
-    return -v if v[lead] < 0 else v
+    """v or -v, whichever has its first nonzero component positive; each row of a 2-D v."""
+    rows = np.atleast_2d(v)
+    lead = np.argmax(np.abs(rows) > _SIGN_TOL, axis=1)
+    flip = rows[np.arange(rows.shape[0]), lead] < 0
+    return np.where(flip[:, None], -rows, rows).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

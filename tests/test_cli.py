@@ -233,6 +233,29 @@ class TestReproduce:
     def test_mc_small(self, capsys):
         assert cli.main(["reproduce", "mc", "--trials", "200", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("target, flag", [
+        ("table1", ["--trials", "0"]), ("table1", ["--out", "{out}"]),
+        ("table2", ["--seed", "3"]), ("table2", ["--partitions", "p.json"]),
+        ("table4", ["--trials", "0"]), ("table4", ["--out", "{out}"]),
+        ("mc", ["--partitions", "p.json"])])
+    def test_option_the_target_ignores_exits_2(self, target, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", target] + [a.format(out=out) for a in flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"{flag[0]}: not used by reproduce {target}" in err
+        assert not out.exists()
+
+    def test_table1_takes_partitions(self, tmp_path, capsys):
+        model = lavse.fixture_model("ieee14-dc")
+        parts = tmp_path / "p.json"
+        parts.write_text(json.dumps({"partitions": [
+            {"name": p.name, "measurements": list(p.measurement_indices)}
+            for p in lavse.experiments.ieee14_partitions(model)]}))
+        assert cli.main(["reproduce", "table1", "--partitions", str(parts)]) == 0
+        assert "PASS: True" in capsys.readouterr().out
+
 
 # Malformed inputs: each must end in a documented error exit, never a traceback.
 BAD_DOCUMENTS = {

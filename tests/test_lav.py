@@ -14,6 +14,7 @@ from lavse import (
     objective_at,
     solve_lav,
 )
+from lavse.lav import simplex
 
 from test_model import THREE_BUS_H, three_bus_model
 
@@ -182,3 +183,26 @@ def test_theorem_zero_set_property():
         model = MeasurementModel(h, rng.normal(size=m), tuple(f"r{i}" for i in range(m)))
         sol = solve_lav(model)
         assert len(sol.zero_set) >= n
+
+
+def test_stack_gives_each_fit_its_solo_result():
+    # The fits of a stack leave it at different pivots, some at the start
+    # (a consistent z); each must end exactly as it does alone.
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        fits = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(n, 4 * n + 2))
+        h = rng.integers(-3, 4, size=(fits, m, n)).astype(float)
+        h[:, :n] += 5 * np.eye(n)  # full column rank
+        z = rng.normal(size=(fits, m))
+        consistent = rng.random(fits) < 0.3
+        z[consistent] = (h[consistent] @ rng.normal(size=(n, 1)))[..., 0]
+        theta, basis, pivots, degenerate = simplex(h, z)
+        for f in range(fits):
+            alone = simplex(h[f:f + 1], z[f:f + 1])
+            assert np.array_equal(theta[f], alone[0][0])
+            assert np.array_equal(basis[f], alone[1][0])
+            assert (pivots[f], degenerate[f]) == (alone[2][0], alone[3][0])
+            if consistent[f]:
+                assert pivots[f] == 0

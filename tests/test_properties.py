@@ -6,6 +6,7 @@ answer would show.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +17,10 @@ from lavse import (
     leverage_oracle,
     matrix_rank,
     nullspace_unit_vector,
+    leverage,
     solve_lav,
 )
-from lavse.leverage import classify
+from lavse.leverage import _row_tests, _support_components, classify
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -92,3 +94,42 @@ def test_fit_is_a_vertex(model):
     # The zero set of an optimal vertex holds N linearly independent rows.
     sol = solve_lav(model)
     assert matrix_rank(model.h[list(sol.zero_set)]) == model.n
+
+
+def _same_witness(a, b):
+    return (a.basis == b.basis and np.abs(a.v - b.v).max() <= 1e-12
+            and abs(a.s - b.s) <= 1e-12 * b.q and abs(a.q - b.q) <= 1e-12 * b.q)
+
+
+@SETTINGS
+@given(integer_models())
+def test_stacked_rows_equal_batch_of_one(model):
+    # detect_all fits every row of a support block in one stack of the
+    # simplex; leverage_margin fits its row alone.
+    report = detect_all(model)
+    one_block = len(_support_components(model.h)) == 1 and model.h.any(axis=1).all()
+    stacked = _row_tests(model.h, np.arange(model.m))[0] if one_block else []
+    for j in range(model.m):
+        margin, witness = leverage_margin(model, j)
+        assert report.verdicts[j] == classify(witness)
+        batched = report.witnesses.get(j)
+        assert (batched is None) == (witness is None)
+        if witness is not None:
+            assert abs(batched.margin() - margin) <= 1e-12
+        if one_block:  # then both fit the same system for row j
+            alone = _row_tests(model.h, np.array([j]))[0][0]
+            assert _same_witness(stacked[j], alone)
+            assert batched is None or _same_witness(batched, alone)
+
+
+@SETTINGS
+@given(integer_models(), st.integers(0, 3))
+def test_stack_split_keeps_report(model, rows_per_stack):
+    whole = detect_all(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(leverage, "_BATCH_BYTES", rows_per_stack * model.h.itemsize * model.m * model.n)
+        split = detect_all(model)
+    assert split.verdicts == whole.verdicts
+    assert split.combos_examined == whole.combos_examined
+    assert {j: (w.basis, w.v.tolist(), w.s, w.q) for j, w in split.witnesses.items()} == \
+        {j: (w.basis, w.v.tolist(), w.s, w.q) for j, w in whole.witnesses.items()}
