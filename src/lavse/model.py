@@ -8,6 +8,7 @@ needs no synchronization.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,6 +97,11 @@ class MeasurementModel:
     def n(self) -> int:
         return self.h.shape[1]
 
+    @functools.cached_property
+    def rank(self) -> int:
+        """Numerical rank of h (see ``matrix_rank``), computed once: h is read-only."""
+        return matrix_rank(self.h)
+
     def row_index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -134,9 +140,10 @@ def validate_model(model: MeasurementModel) -> MeasurementModel:
 
     Shape, finiteness and label invariants are already enforced by the
     constructor; this adds the rank check and reports the computed rank
-    when it falls short.
+    when it falls short.  The rank is the model's cached ``rank``, so each
+    model pays for one SVD however often it is validated.
     """
-    r = matrix_rank(model.h)
+    r = model.rank
     if r < model.n:
         raise RankDeficient(r, model.n, "model matrix")
     return model

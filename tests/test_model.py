@@ -54,6 +54,22 @@ class TestMeasurementModel:
     def test_three_bus_valid(self):
         assert validate_model(three_bus_model()).n == 2
 
+    def test_rank_is_computed_once_per_model(self, monkeypatch):
+        # leverage_margin then solve_lav on one model (as each MC trial
+        # does) validate it twice; its h is read-only, so one SVD serves.
+        svds = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+        model = three_bus_model()
+        lavse.leverage_margin(model, 0)
+        lavse.solve_lav(model)
+        assert validate_model(model) is model
+        assert model.rank == 2
+        assert len(svds) == 1
+        with pytest.raises(RankDeficient):
+            validate_model(model.with_z(np.ones(7)).submodel(range(7), [0, 0]))
+        assert len(svds) == 2
+
     def test_more_states_than_rows_rejected(self):
         with pytest.raises(DimensionMismatch):
             MeasurementModel(np.ones((1, 2)), [0.0], ("a",))
