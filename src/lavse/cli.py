@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    def add_common(p, formats=("table", "json")):
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--output", help="write to a file instead of stdout")
 
     p = sub.add_parser("estimate", help="solve the absolute-value fit of a model file")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a measurement model from a network")
     p.add_argument("network", help=f"network JSON file or fixture name ({', '.join(FIXTURES)})")
     p.add_argument("--model", choices=["dc", "pmu"], required=True)
-    add_common(p)
+    add_common(p, ("table", "json", "csv"))
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("reproduce", help="check bundled reference results")

@@ -236,9 +236,9 @@ def sweep_column_consistency(pairs: Sequence[tuple[float, float]]) -> float:
     return max(abs(q - (total - s)) for s, q in pairs)
 
 
-def reproduce_table4(model: Optional[MeasurementModel] = None) -> SweepResult:
+def reproduce_table4() -> SweepResult:
     """Compare the 3-bus direction sweep against the printed reference."""
-    model = model or fixture_model("threebus-dc")
+    model = fixture_model("threebus-dc")
     # The printed table with SWEEP_ERRATA applied, cell by cell.
     corrected = [[list(pair) for pair in column] for column in SWEEP_PRINTED]
     for (j, k, side), (value, _) in SWEEP_ERRATA.items():
@@ -310,9 +310,9 @@ class PSComparison:
         return "\n".join(lines)
 
 
-def reproduce_table2(model: Optional[MeasurementModel] = None) -> PSComparison:
+def reproduce_table2() -> PSComparison:
     """Classification-level check of projection statistics on the 3-bus model."""
-    model = model or fixture_model("threebus-dc")
+    model = fixture_model("threebus-dc")
     report = compute_ps(model)
     flagged = tuple(int(i) for i in np.flatnonzero(report.flagged))
     ref_ps = tuple(row[0] for row in PS_REFERENCE)
@@ -344,7 +344,6 @@ def reproduce_table2(model: Optional[MeasurementModel] = None) -> PSComparison:
 @dataclass
 class Ieee14Row:
     label: str
-    biased: bool
     reference: dict[str, Optional[str]]     # partition -> "LP"/"clean"/None
     ours: dict[str, Optional[str]]          # partition -> verdict/None
     merged_reference_flagged: bool
@@ -406,21 +405,17 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
     partitions = list(partitions) if partitions is not None else ieee14_partitions(model)
     report = detect_partitioned(model, partitions)
 
-    ours: dict[str, dict[str, str]] = {}
-    ties: dict[str, bool] = {}
-    for part, rep in report.partition_reports:
-        for local, gi in enumerate(part.measurement_indices):
-            lab = model.labels[gi]
-            verdict = rep.verdicts[local]
-            ours.setdefault(lab, {})[part.name] = verdict
-            if verdict == BOUNDARY:
-                ties[lab] = ties.get(lab, True) and rep.witnesses[local].is_tie()
+    # Labels with a boundary verdict that is not an exact tie in some partition.
+    non_tie_boundary = {model.labels[part.measurement_indices[local]]
+                        for part, rep in report.partition_reports
+                        for local, w in rep.witnesses.items()
+                        if rep.verdicts[local] == BOUNDARY and not w.is_tie()}
 
     rows: list[Ieee14Row] = []
-    for label, biased, ref_blue, ref_red in IEEE14_REFERENCE:
+    for label, _, ref_blue, ref_red in IEEE14_REFERENCE:
         ref_flag = "LP" in (ref_blue, ref_red)
         merged = report.merged_verdicts.get(label, CLEAN)
-        exact_tie = merged == BOUNDARY and ties[label]
+        exact_tie = merged == BOUNDARY and label not in non_tie_boundary
         # A boundary row is flagged conservatively and clean strictly, so it
         # always disagrees with the reference under one of the two mappings.
         if merged == BOUNDARY:
@@ -428,8 +423,8 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
         else:
             outcome = "match" if (merged == LEVERAGE) == ref_flag else "mismatch"
         rows.append(Ieee14Row(
-            label=label, biased=biased, reference={"blue": ref_blue, "red": ref_red},
-            ours=ours.get(label, {}), merged_reference_flagged=ref_flag,
+            label=label, reference={"blue": ref_blue, "red": ref_red},
+            ours=report.label_verdicts.get(label, {}), merged_reference_flagged=ref_flag,
             merged_ours=merged, exact_tie=exact_tie, outcome=outcome,
         ))
 
@@ -438,10 +433,7 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
         model, [GrossErrorSpec(label, _TABLE1_GROSS_ERROR)
                 for label, biased, _, _ in IEEE14_REFERENCE if biased])
     report2 = detect_partitioned(corrupted, partitions)
-    data_independent = all(
-        r1.verdicts == r2.verdicts
-        for (_, r1), (_, r2) in zip(report.partition_reports, report2.partition_reports)
-    )
+    data_independent = report2.label_verdicts == report.label_verdicts
 
     strict_fp = [r.label for r in rows if r.merged_ours == LEVERAGE and not r.merged_reference_flagged]
     strict_fn = [r.label for r in rows if r.merged_ours == CLEAN and r.merged_reference_flagged]

@@ -359,53 +359,53 @@ def resolve_partition(model: MeasurementModel, partition: Partition) -> Partitio
     for i in rows:
         if not 0 <= i < model.m:
             raise IndexOutOfRange(f"partition {partition.name!r}: row {i} out of range")
-    support = np.flatnonzero(np.any(model.h[list(rows)] != 0, axis=0))
-    cols = [int(c) for c in support]
-    dropped: list[int] = []
-    while True:
-        if not cols:
-            raise RankDeficient(0, 1, f"partition {partition.name!r} has no usable state columns")
-        sub = model.h[np.ix_(list(rows), cols)]
-        rank = matrix_rank(sub)
-        if rank == len(cols):
-            break
+    cols = np.flatnonzero(np.any(model.h[list(rows)] != 0, axis=0))
+    if not cols.size:
+        raise RankDeficient(0, 1, f"partition {partition.name!r} has no usable state columns")
+    sub = model.h[np.ix_(list(rows), cols)]
+    drop: list[int] = []
+    if matrix_rank(sub) < cols.size:
         # A deficiency is repairable only when it is a pure translation
         # gauge: a support-graph column group whose common shift no selected
         # row can see (every row sums to zero over the group), meaning the
-        # partition lost its reference for that group.  Dropping the
-        # group's lowest-indexed column installs a local reference.
-        cand = None
+        # partition lost its reference for that group.  Dropping each such
+        # group's lowest-indexed column installs a local reference; no new
+        # gauge group appears, since every row that touched the dropped
+        # column now has a nonzero sum over the rest of its group.
         atol = 1e-9 * float(np.abs(sub).max())
-        for _, comp_cols in _support_components(sub):
-            group_sums = sub[:, comp_cols].sum(axis=1)
-            if np.max(np.abs(group_sums)) <= atol:
-                cand = int(comp_cols[0])
-                break
-        if cand is None:
-            raise RankDeficient(rank, len(cols),
+        drop = [group[0] for _, group in _support_components(sub)
+                if np.max(np.abs(sub[:, group].sum(axis=1))) <= atol]
+        keep = np.delete(np.arange(cols.size), drop)
+        rank = matrix_rank(sub[:, keep])
+        if rank < keep.size:
+            raise RankDeficient(rank, keep.size,
                                 f"partition {partition.name!r}: not a gauge deficiency")
-        dropped.append(cols[cand])
-        del cols[cand]
     return Partition(
         name=partition.name,
         measurement_indices=rows,
-        state_columns=tuple(cols),
-        dropped_columns=tuple(dropped),
+        state_columns=tuple(np.delete(cols, drop).tolist()),
+        dropped_columns=tuple(cols[drop].tolist()),
     )
 
 
 @dataclass
 class PartitionedReport:
-    """Per-partition reports plus the conservative merge across them."""
+    """Per-partition reports plus the conservative merge across them.
+
+    label_verdicts maps each analyzed label to its verdict in every
+    partition that contains it, labels in the order they were first
+    analyzed; merged_verdicts holds the strongest of those verdicts.
+    """
 
     labels: tuple[str, ...]
     partition_reports: list[tuple[Partition, LeverageReport]]
+    label_verdicts: dict[str, dict[str, str]]
     merged_verdicts: dict[str, str]
     consistency_notes: list[str]
-    unanalyzed: tuple[str, ...]
 
-    def merged_flagged(self) -> list[str]:
-        return [lab for lab, v in self.merged_verdicts.items() if v in (LEVERAGE, BOUNDARY)]
+    @property
+    def unanalyzed(self) -> tuple[str, ...]:
+        return tuple(lab for lab in self.labels if lab not in self.label_verdicts)
 
     def to_dict(self) -> dict:
         return {
@@ -429,12 +429,8 @@ class PartitionedReport:
         names = [part.name for part, _ in self.partition_reports]
         head = f"{'measurement':<{width}}  " + "  ".join(f"{nm:<9}" for nm in names) + "  merged"
         lines = [head]
-        per_label = {}
-        for part, rep in self.partition_reports:
-            for local, global_i in enumerate(part.measurement_indices):
-                per_label.setdefault(self.labels[global_i], {})[part.name] = rep.verdicts[local]
         for lab in self.labels:
-            cells = [per_label.get(lab, {}).get(nm, "-") for nm in names]
+            cells = [self.label_verdicts.get(lab, {}).get(nm, "-") for nm in names]
             merged = self.merged_verdicts.get(lab, "unanalyzed")
             lines.append(f"{lab:<{width}}  " + "  ".join(f"{c:<9}" for c in cells) + f"  {merged}")
         lines.extend(self.consistency_notes)
@@ -450,49 +446,43 @@ def detect_partitioned(model: MeasurementModel,
 
     A row flagged in any partition containing it stays flagged in the
     merge; rows classified differently across partitions are listed in the
-    consistency notes for manual comparison.
+    consistency notes for manual comparison.  Partition names must be
+    distinct, since the per-label record is keyed on them.
     """
     if not partitions:
         raise EmptyPartition("no partitions supplied")
-    resolved = [resolve_partition(model, p) for p in partitions]
+    names = [p.name for p in partitions]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidArgument(f"duplicate partition name {name!r}")
     reports: list[tuple[Partition, LeverageReport]] = []
+    label_verdicts: dict[str, dict[str, str]] = {}
     notes: list[str] = []
-    for part in resolved:
-        sub = model.submodel(part.measurement_indices, part.state_columns)
+    for part in [resolve_partition(model, p) for p in partitions]:
         if part.dropped_columns:
-            names = [
+            dropped = [
                 model.state_labels[c] if model.state_labels else str(c)
                 for c in part.dropped_columns
             ]
             notes.append(
-                f"partition {part.name!r}: re-referenced by dropping column(s) {', '.join(names)}"
+                f"partition {part.name!r}: re-referenced by dropping column(s) {', '.join(dropped)}"
             )
-        try:
-            rep = detect_all(sub)
-        except RankDeficient as err:
-            raise RankDeficient(err.rank, err.needed, f"partition {part.name!r}") from None
+        rep = detect_all(model.submodel(part.measurement_indices, part.state_columns))
         reports.append((part, rep))
+        for global_i, verdict in zip(part.measurement_indices, rep.verdicts):
+            label_verdicts.setdefault(model.labels[global_i], {})[part.name] = verdict
 
-    merged: dict[str, str] = {}
-    seen: dict[str, dict[str, str]] = {}
-    for part, rep in reports:
-        for local, global_i in enumerate(part.measurement_indices):
-            lab = model.labels[global_i]
-            verdict = rep.verdicts[local]
-            seen.setdefault(lab, {})[part.name] = verdict
-            if lab not in merged or _RANKING[verdict] > _RANKING[merged[lab]]:
-                merged[lab] = verdict
-    for lab, by_part in seen.items():
+    for lab, by_part in label_verdicts.items():
         if len(set(by_part.values())) > 1:
             detail = ", ".join(f"{nm}: {v}" for nm, v in by_part.items())
             notes.append(f"inconsistent classification for {lab}: {detail}")
-    unanalyzed = tuple(lab for lab in model.labels if lab not in merged)
     return PartitionedReport(
         labels=model.labels,
         partition_reports=reports,
-        merged_verdicts=merged,
+        label_verdicts=label_verdicts,
+        merged_verdicts={lab: max(by_part.values(), key=_RANKING.__getitem__)
+                         for lab, by_part in label_verdicts.items()},
         consistency_notes=notes,
-        unanalyzed=unanalyzed,
     )
 
 

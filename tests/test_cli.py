@@ -12,6 +12,7 @@ import pytest
 
 import lavse
 from lavse import cli
+from lavse.experiments import reproduce_table1
 from lavse.model import load_matrix_csv, model_from_dict, model_to_dict
 
 from test_model import THREE_BUS_H
@@ -128,6 +129,17 @@ class TestDetect:
         assert cli.main(["detect", str(mpath), "--partitions", str(ppath)]) == 0
         out = capsys.readouterr().out
         assert "P_inj3" in out and "merged" in out
+        assert cli.main(["detect", str(mpath), "--partitions", str(ppath),
+                         "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["merged_verdicts"] == {r.label: r.merged_ours for r in reproduce_table1().rows}
+        assert doc["consistency_notes"] == [
+            "partition 'red': re-referenced by dropping column(s) theta_6",
+            "inconsistent classification for Q_inj8: blue: clean, red: boundary",
+            "inconsistent classification for Q_flow7-8: blue: clean, red: boundary",
+            "inconsistent classification for |V8|: blue: boundary, red: leverage",
+        ]
+        assert doc["unanalyzed"] == []
 
     def test_partition_rank_failure_exit_3(self, tmp_path, capsys):
         model = lavse.MeasurementModel(
@@ -214,7 +226,10 @@ def test_reused_parser_carries_no_option_over(three_bus_file, tmp_path, capsys):
                                   ["detect", "m.json", "--strict-margin", "1e-6"],
                                   ["estimate", "m.json", "--zero-tol", "1e-8"],
                                   ["mc", "--trials", "1", "--seed", "7"],
-                                  ["reproduce", "mc", "--row-variance", "30"]])
+                                  ["reproduce", "mc", "--row-variance", "30"],
+                                  ["estimate", "m.json", "--format", "csv"],
+                                  ["detect", "m.json", "--format", "csv"],
+                                  ["ps", "m.json", "--format", "csv"]])
 def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -275,6 +290,8 @@ BAD_PARTITIONS = {
     "row-out-of-range": '{"partitions": [{"name": "a", "measurements": [999]}]}',
     "unknown-label": '{"partitions": [{"name": "a", "measurements": ["nope"]}]}',
     "nan-row": '{"partitions": [{"name": "a", "measurements": [NaN]}]}',
+    "duplicate-name": '{"partitions": [{"name": "a", "measurements": [0, 1, 2, 3, 4, 5, 6]}, '
+                      '{"name": "a", "measurements": [0, 1, 2, 3, 4, 5]}]}',
 }
 
 

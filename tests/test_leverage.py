@@ -291,6 +291,13 @@ class TestPartitions:
         with pytest.raises(EmptyPartition):
             detect_partitioned(three_bus_model(), [Partition("none", ())])
 
+    def test_duplicate_names_rejected(self):
+        # The per-label record keys on the name: a second "a" would overwrite
+        # the first one's verdicts and hide their inconsistency.
+        parts = [Partition("a", tuple(range(7))), Partition("a", tuple(range(6)))]
+        with pytest.raises(InvalidArgument, match="duplicate partition name 'a'"):
+            detect_partitioned(three_bus_model(), parts)
+
     def test_rank_deficient_partition_reported_with_name(self):
         # Both rows collinear: support columns cannot reach full rank even
         # after reference drops, in whatever units H is given.
