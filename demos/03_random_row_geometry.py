@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from lavse.experiments import BOUNDARY_BAND, run_monte_carlo
+from lavse.experiments import BOUNDARY_BAND, MC_SEED, MC_TRIALS, run_monte_carlo
 
 here = Path(__file__).resolve().parent
-records = run_monte_carlo(2000, 20260809, csv_path=here / "random_rows.csv")
+records = run_monte_carlo(MC_TRIALS, MC_SEED, csv_path=here / "random_rows.csv")
 
 flagged = np.array([r.detector_flagged for r in records])
 deviated = np.array([r.lav_deviated for r in records])

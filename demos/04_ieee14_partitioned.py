@@ -21,6 +21,6 @@ parts = ieee14_partitions(model)
 for part in parts:
     print(f"partition {part.name}: {len(part.measurement_indices)} measurements")
 
-result = reproduce_table1(model, parts)
+result = reproduce_table1()
 print()
 print(result.render())

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import experiments
 from .errors import (
-    DegenerateBasis,
     DimensionMismatch,
     DisconnectedBus,
     EmptyPartition,
@@ -25,7 +24,6 @@ from .errors import (
     NonFinite,
     ParseError,
     RankDeficient,
-    TooLarge,
     UnknownLabel,
     UnsupportedKind,
 )
@@ -41,9 +39,9 @@ EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-_NUMERIC_ERRORS = (RankDeficient, DegenerateBasis, DisconnectedBus, EmptyPartition,
-                   TooLarge, NonFinite, DimensionMismatch, UnsupportedKind,
-                   UnknownLabel, IndexOutOfRange, InvalidArgument)
+_NUMERIC_ERRORS = (RankDeficient, DisconnectedBus, EmptyPartition, NonFinite,
+                   DimensionMismatch, UnsupportedKind, UnknownLabel, IndexOutOfRange,
+                   InvalidArgument)
 
 
 def _dump_json(doc) -> str:
@@ -138,35 +136,18 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-# The reproduce options each target reads; giving any other is a usage error.
-_REPRODUCE_OPTIONS = {"table1": {"partitions"}, "table2": set(), "table4": set(),
-                      "mc": {"trials", "seed", "out"}}
-_MC_TRIALS = 2000
-_MC_SEED = 20260809
-
-
 def cmd_reproduce(args) -> int:
-    for name in ("partitions", "trials", "seed", "out"):
-        if getattr(args, name) is not None and name not in _REPRODUCE_OPTIONS[args.target]:
-            args.parser.error(f"argument --{name}: not used by reproduce {args.target}")
-    if args.target == "table4":
-        result = experiments.reproduce_table4()
-        print(result.render())
-    elif args.target == "table2":
-        result = experiments.reproduce_table2()
-        print(result.render())
-    elif args.target == "table1":
-        model = experiments.fixture_model("ieee14-dc")
-        parts = None
-        if args.partitions:
-            parts = load_partitions(args.partitions, model)
-        result = experiments.reproduce_table1(model, parts)
-        print(result.render())
-    else:
+    if args.target == "mc":
         result = experiments.reproduce_mc(
-            trials=_MC_TRIALS if args.trials is None else args.trials,
-            seed=_MC_SEED if args.seed is None else args.seed, csv_path=args.out)
-        print(result.render())
+            trials=experiments.MC_TRIALS if args.trials is None else args.trials,
+            seed=experiments.MC_SEED if args.seed is None else args.seed, csv_path=args.out)
+    else:
+        # Only mc takes options; a table target reproduces one published case.
+        for name in ("trials", "seed", "out"):
+            if getattr(args, name) is not None:
+                args.parser.error(f"argument --{name}: not used by reproduce {args.target}")
+        result = getattr(experiments, f"reproduce_{args.target}")()
+    print(result.render())
     return EXIT_OK if result.passed else EXIT_MISMATCH
 
 
@@ -209,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="check bundled reference results")
     p.add_argument("target", choices=["table1", "table2", "table4", "mc"])
-    p.add_argument("--partitions", help="partition JSON file (table1 only)")
-    p.add_argument("--trials", type=int, help=f"mc only (default {_MC_TRIALS})")
-    p.add_argument("--seed", type=int, help=f"mc only (default {_MC_SEED})")
+    p.add_argument("--trials", type=int, help=f"mc only (default {experiments.MC_TRIALS})")
+    p.add_argument("--seed", type=int, help=f"mc only (default {experiments.MC_SEED})")
     p.add_argument("--out", help="CSV output path (mc only)")
     p.set_defaults(func=cmd_reproduce, parser=p)
 

@@ -182,8 +182,6 @@ class SweepCell:
     lemma_q: float                # |h_j . v|
     printed_s: float              # printed cell feeding lemma_q (column swap)
     printed_q: float              # printed cell feeding lemma_s
-    target_s: float               # after errata correction
-    target_q: float
     erratum: Optional[str]
     match: bool
 
@@ -259,7 +257,6 @@ def reproduce_table4() -> SweepResult:
                 row=j, direction=k,
                 lemma_s=float(lemma_s[j]), lemma_q=float(lemma_q[j]),
                 printed_s=printed_s, printed_q=printed_q,
-                target_s=target_s, target_q=target_q,
                 erratum="; ".join(notes) or None, match=match,
             ))
 
@@ -389,9 +386,8 @@ def ieee14_partitions(model: MeasurementModel) -> list[Partition]:
     return [Partition("blue", blue), Partition("red", red)]
 
 
-def reproduce_table1(model: Optional[MeasurementModel] = None,
-                     partitions: Optional[Sequence[Partition]] = None) -> Ieee14Result:
-    """Partitioned detection on the 14-bus model against its reference verdicts.
+def reproduce_table1() -> Ieee14Result:
+    """Blue/red partitioned detection on the 14-bus model against its reference verdicts.
 
     Agreement is reported under three mappings of the three-way verdict to
     the reference's binary one.  Exact-tie boundary rows (s equals q to
@@ -401,8 +397,8 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
     The data-independence check re-runs detection after injecting gross
     errors on every reference-biased row and requires identical verdicts.
     """
-    model = model or fixture_model("ieee14-dc")
-    partitions = list(partitions) if partitions is not None else ieee14_partitions(model)
+    model = fixture_model("ieee14-dc")
+    partitions = ieee14_partitions(model)
     report = detect_partitioned(model, partitions)
 
     # Labels with a boundary verdict that is not an exact tie in some partition.
@@ -472,6 +468,9 @@ def reproduce_table1(model: Optional[MeasurementModel] = None,
 # the generating states.
 # ---------------------------------------------------------------------------
 
+# Trials and seed of ``reproduce_mc`` when none are given.
+MC_TRIALS = 2000
+MC_SEED = 20260809
 ROW_VARIANCE = 30.0
 STATE_VARIANCE = 1.0
 GROSS_ERROR = 10.0
@@ -566,8 +565,7 @@ class MCResult:
         ])
 
 
-def reproduce_mc(trials: int = 2000, seed: int = 20260809,
-                 csv_path=None) -> MCResult:
+def reproduce_mc(trials: int = MC_TRIALS, seed: int = MC_SEED, csv_path=None) -> MCResult:
     """Detector-vs-deviation agreement >= 95% outside a 5% boundary band."""
     records = run_monte_carlo(trials, seed, csv_path=csv_path)
     eligible = [r for r in records if not r.near_boundary]

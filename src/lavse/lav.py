@@ -53,6 +53,10 @@ _SHIFT = 1e-9
 _REFACTOR_EVERY = 20
 # Rows with |r_i| <= _ZERO * |z|_inf form the zero set, so it scales with z.
 _ZERO = 1e-8
+# A fit of M rows and N columns raises MaxIterations after
+# _MAX_PIVOTS + _MAX_PIVOTS_PER_DIM * (M + N) pivots.
+_MAX_PIVOTS = 1000
+_MAX_PIVOTS_PER_DIM = 50
 
 ORACLE_MAX_M = 20
 ORACLE_MAX_N = 4
@@ -101,10 +105,10 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
     )
 
 
-def solve_lav(model: MeasurementModel, max_iter: int | None = None) -> LavSolution:
+def solve_lav(model: MeasurementModel) -> LavSolution:
     """Globally minimize the sum of absolute residuals."""
     validate_model(model)
-    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None], max_iter)
+    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None])
     return _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
 
 
@@ -141,8 +145,7 @@ def _start_rows(h: np.ndarray) -> np.ndarray:
     return rows
 
 
-def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vertex minimizers of sum |z_f - h_f theta| for a stack of full-column-rank h_f.
 
     h is (F, M, N) and z is (F, M).  Returns theta (F, N), the N rows each
@@ -171,8 +174,7 @@ def simplex(h: np.ndarray, z: np.ndarray, max_iter: int | None = None
     the stack once it is optimal.
     """
     fits, m, n = h.shape
-    if max_iter is None:
-        max_iter = 1000 + 50 * (m + n)
+    max_iter = _MAX_PIVOTS + _MAX_PIVOTS_PER_DIM * (m + n)
     first = (np.arange(fits) * m)[:, None]  # each fit's first row in the stacked rows
     final = _start_rows(h)  # each fit's basis once it stops pivoting
     pivots = np.zeros(fits, dtype=np.intp)

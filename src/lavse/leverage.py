@@ -94,7 +94,11 @@ class LeverageWitness:
 
     basis holds the row indices whose null vector is v; s and q are the two
     sides of the inequality recomputed over every other row of the model
-    the detection ran on.
+    the detection ran on.  From ``detect_all``, basis is the N_b - 1 tight
+    rows of the row's support block, N_b the block's column count: their
+    null space within the block's columns is the line through v, and v is
+    zero on every other column.  From ``leverage_margin``, basis is N - 1
+    rows of the whole model.
     """
 
     row_index: int

@@ -67,12 +67,10 @@ class PSReport:
             "degenerate": self.degenerate,
         }
 
-    def render_table(self, labels=None) -> str:
-        m = len(self.ps)
-        labels = labels or [f"m{i + 1}" for i in range(m)]
+    def render_table(self, labels) -> str:
         width = max(len(str(s)) for s in list(labels) + ["measurement"])
         lines = [f"{'measurement':<{width}}  {'PS':>10}  {'chi2':>8}  {'d':>2}  flagged"]
-        for i in range(m):
+        for i in range(len(self.ps)):
             lines.append(
                 f"{labels[i]:<{width}}  {self.ps[i]:>10.4g}  {self.cutoff[i]:>8.4g}"
                 f"  {self.dof[i]:>2d}  {'yes' if self.flagged[i] else 'no'}"

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -229,7 +230,10 @@ def test_reused_parser_carries_no_option_over(three_bus_file, tmp_path, capsys):
                                   ["reproduce", "mc", "--row-variance", "30"],
                                   ["estimate", "m.json", "--format", "csv"],
                                   ["detect", "m.json", "--format", "csv"],
-                                  ["ps", "m.json", "--format", "csv"]])
+                                  ["ps", "m.json", "--format", "csv"],
+                                  ["reproduce", "table1", "--partitions", "p.json"],
+                                  ["reproduce", "table2", "--partitions", "p.json"],
+                                  ["reproduce", "mc", "--partitions", "p.json"]])
 def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -250,9 +254,8 @@ class TestReproduce:
 
     @pytest.mark.parametrize("target, flag", [
         ("table1", ["--trials", "0"]), ("table1", ["--out", "{out}"]),
-        ("table2", ["--seed", "3"]), ("table2", ["--partitions", "p.json"]),
-        ("table4", ["--trials", "0"]), ("table4", ["--out", "{out}"]),
-        ("mc", ["--partitions", "p.json"])])
+        ("table2", ["--seed", "3"]), ("table2", ["--out", "{out}"]),
+        ("table4", ["--trials", "0"]), ("table4", ["--out", "{out}"])])
     def test_option_the_target_ignores_exits_2(self, target, flag, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -261,15 +264,6 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "usage:" in err and f"{flag[0]}: not used by reproduce {target}" in err
         assert not out.exists()
-
-    def test_table1_takes_partitions(self, tmp_path, capsys):
-        model = lavse.fixture_model("ieee14-dc")
-        parts = tmp_path / "p.json"
-        parts.write_text(json.dumps({"partitions": [
-            {"name": p.name, "measurements": list(p.measurement_indices)}
-            for p in lavse.experiments.ieee14_partitions(model)]}))
-        assert cli.main(["reproduce", "table1", "--partitions", str(parts)]) == 0
-        assert "PASS: True" in capsys.readouterr().out
 
 
 # Malformed inputs: each must end in a documented error exit, never a traceback.
@@ -344,8 +338,7 @@ FUZZ_CASES = (
        for name, text in BAD_DOCUMENTS.items()]
     + [pytest.param(["build", "{doc}", "--model", kind], text, id=f"build-{kind}-{name}")
        for kind in ("dc", "pmu") for name, text in BAD_NETWORKS.items()]
-    + [pytest.param([*argv, "--partitions", "{doc}"], text, id=f"{argv[0]}-{name}")
-       for argv in (["detect", "{model}"], ["reproduce", "table1"])
+    + [pytest.param(["detect", "{model}", "--partitions", "{doc}"], text, id=f"detect-{name}")
        for name, text in BAD_PARTITIONS.items()]
 )
 
@@ -378,9 +371,12 @@ def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # The child does not inherit pytest's sys.path, so it gets the checkout's src first.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "lavse.cli", "build", "threebus-dc",
                            "--model", "dc", "--format", "csv"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10,-10"
 

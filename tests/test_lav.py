@@ -14,6 +14,7 @@ from lavse import (
     objective_at,
     solve_lav,
 )
+from lavse import lav
 from lavse.lav import simplex
 
 from test_model import THREE_BUS_H, three_bus_model
@@ -71,11 +72,13 @@ class TestSolveLav:
         model = MeasurementModel(np.eye(2), [3.0, 5.0], ("a", "b"))
         assert not solve_lav(model).degenerate
 
-    def test_max_iterations(self):
+    def test_max_iterations(self, monkeypatch):
         # The start basis fits one row; the median of z needs a pivot.
         model = MeasurementModel(np.ones((3, 1)), [10.0, 0.0, 0.0], ("a", "b", "c"))
+        monkeypatch.setattr(lav, "_MAX_PIVOTS", 0)
+        monkeypatch.setattr(lav, "_MAX_PIVOTS_PER_DIM", 0)
         with pytest.raises(MaxIterations):
-            solve_lav(model, max_iter=0)
+            solve_lav(model)
 
     def test_rank_deficient_rejected(self):
         model = MeasurementModel(

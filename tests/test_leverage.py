@@ -28,7 +28,7 @@ from lavse import (
 )
 from lavse import cli
 from lavse.experiments import ieee14_partitions
-from lavse.leverage import classify
+from lavse.leverage import _support_components, classify
 
 from test_meshes import mesh_model
 from test_model import three_bus_model
@@ -156,6 +156,28 @@ class TestDetectAll:
                 assert proj[j] == pytest.approx(w.q, abs=1e-12)
                 checked += 1
         assert checked > 0
+
+    def test_witness_basis_spans_its_block_on_14_bus(self):
+        # detect_all fits each support block alone: the basis is N_b - 1 rows
+        # of the row's block, whose null space within the block's columns is
+        # the line through v, and v is zero on the other columns.
+        # leverage_margin fits the whole model: the basis is N - 1 of its rows.
+        model = fixture_model("ieee14-dc")
+        report = detect_all(model)
+        blocks = _support_components(model.h)
+        assert [(len(rows), len(cols)) for rows, cols in blocks] == [(21, 13), (23, 14)]
+        assert len(report.witnesses) == 24
+        for j, w in report.witnesses.items():
+            rows, cols = next(b for b in blocks if j in b[0])
+            assert len(w.basis) == len(cols) - 1 and set(w.basis) <= set(rows) - {j}
+            tight = model.h[np.ix_(w.basis, cols)]
+            assert matrix_rank(tight) == len(cols) - 1
+            assert np.abs(tight @ w.v[cols]).max() < 1e-10
+            assert not np.delete(w.v, cols).any()
+            whole = leverage_margin(model, j)[1]
+            assert len(whole.basis) == model.n - 1
+            assert matrix_rank(model.h[list(whole.basis)]) == model.n - 1
+            assert np.abs(model.h[list(whole.basis)] @ whole.v).max() < 1e-10
 
     def test_data_independence(self):
         rng = np.random.default_rng(19)

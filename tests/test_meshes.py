@@ -133,9 +133,9 @@ def test_block_split_across_stacks_gives_same_report(monkeypatch):
     whole = detect_all(model)
     calls = []
 
-    def counted(h, z, max_iter=None):
+    def counted(h, z):
         calls.append(h.shape[0])
-        return simplex(h, z, max_iter)
+        return simplex(h, z)
 
     monkeypatch.setattr(leverage, "simplex", counted)
     per_row = model.h.itemsize * model.m * model.n
