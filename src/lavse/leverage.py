@@ -27,8 +27,21 @@ and the cost is polynomial rather than C(M-1, N-1) bases per row.
 reference for tests.  ``detect_all`` first splits the model into connected
 blocks of the row-support graph: rows in one block are orthogonal to null
 directions of another, so per-block detection yields the same verdicts on
-smaller fits.  Each block's rows go to the simplex in stacks of at most
-_BATCH_BYTES; a fit's pivots and result do not depend on its stack.
+smaller fits.
+
+Most rows need no fit at all.  Row j's LP has the dual
+
+    max lam   subject to   sum_{i != j} u_i h_i = lam h_j,   |u_i| <= 1,
+
+and any feasible (u, lam) proves s/q >= lam for every basis, so the
+margin (q - s)/q is at most 1 - lam.  The hat matrix P = Q Q^T of a block
+(h = QR) fixes h, P h = h, which gives every row such multipliers at once:
+u_i = P_ji / max_{i != j} |P_ji| and lam = (1 - P_jj) / max_{i != j} |P_ji|.
+A row whose lam is at least 1 + 1e-6, and whose multipliers meet the
+equality up to rounding, is certified clean (``_dual_bounds``).  Only the
+other rows go to the simplex, in stacks of at most _BATCH_BYTES; a fit's
+pivots and result do not depend on its stack, so every flagged row's
+witness is the one its fit gives alone.
 """
 
 from __future__ import annotations
@@ -71,8 +84,18 @@ _TIE = 1e-9
 
 # Bytes of per-row systems that ``detect_all`` stacks into one simplex call,
 # each counted as its block's M x N floats; a larger block is solved in
-# several stacks, which bounds the memory of whole-model detection.
+# several stacks, which bounds the memory of whole-model detection.  The
+# same budget bounds the rows of the hat matrix held at once by
+# ``_dual_bounds``, each M floats.
 _BATCH_BYTES = 1 << 20
+
+# A row is proven clean, without a fit, when its dual bound lam on s/q is
+# at least _CERTIFY: then mu <= 1 - lam <= -1e-6, three orders of magnitude
+# below -_TIE.  The bound counts only when its multipliers meet the
+# equality up to a correction of size at most _RESIDUAL (see
+# ``_dual_bounds``).
+_CERTIFY = 1.0 + 1e-6
+_RESIDUAL = 1e-9
 
 
 def combination_count(m: int, n: int) -> int:
@@ -120,9 +143,10 @@ class LeverageWitness:
 class LeverageReport:
     """Per-row classification plus solver bookkeeping.
 
-    combos_examined counts the simplex pivots summed over the per-row fits;
-    combos_skipped_degenerate is always 0.  Both keep the names of the
-    basis-scan counters they replace.
+    rows_certified counts the rows proven clean by their dual bound, which
+    get no fit; combos_examined counts the simplex pivots summed over the
+    fits of the other rows, and combos_skipped_degenerate is always 0.  The
+    last two keep the names of the basis-scan counters they replace.
     """
 
     labels: tuple[str, ...]
@@ -130,6 +154,7 @@ class LeverageReport:
     witnesses: dict[int, LeverageWitness]
     combos_examined: int
     combos_skipped_degenerate: int = 0
+    rows_certified: int = 0
 
     def flagged_rows(self) -> list[int]:
         return [i for i, v in enumerate(self.verdicts) if v in (LEVERAGE, BOUNDARY)]
@@ -147,7 +172,8 @@ class LeverageReport:
                     "q": w.q,
                 }
             rows.append(entry)
-        return {"rows": rows, "combos_examined": self.combos_examined}
+        return {"rows": rows, "combos_examined": self.combos_examined,
+                "rows_certified": self.rows_certified}
 
     def render_table(self) -> str:
         width = max(len(s) for s in self.labels + ("measurement",))
@@ -157,7 +183,8 @@ class LeverageReport:
             s = f"{w.s:.4g}" if w else "-"
             q = f"{w.q:.4g}" if w else "-"
             lines.append(f"{self.labels[i]:<{width}}  {verdict:<9}  {s:>10}  {q:>10}")
-        lines.append(f"{self.combos_examined} simplex pivots over the per-row fits")
+        lines.append(f"{self.combos_examined} simplex pivots over the per-row fits; "
+                     f"{self.rows_certified} rows certified by their dual bound")
         return "\n".join(lines)
 
 
@@ -220,6 +247,45 @@ def _row_tests(h: np.ndarray, rows: np.ndarray) -> tuple[list[LeverageWitness], 
     return witnesses, int(pivots.sum())
 
 
+def _dual_bounds(h: np.ndarray) -> np.ndarray:
+    """Proven lower bound lam on s/q over every basis, per row of a full-rank h.
+
+    lam is the value of the dual multipliers u_i = P_ji / a, a = max_{i != j}
+    |P_ji|, that the hat matrix P gives row j (see the module docstring):
+    for every v, lam q = |sum_{i != j} u_i h_i . v| <= s.
+
+    In floating point, sum_{i != j} u_i h_i = lam h_j holds up to a
+    residual e.  As h has full
+    column rank, e = h^T y with |y|_inf <= d = |R^-T e|_2, and scaling
+    (u - y_-j, lam + y_j) by 1 / (1 + d) makes it exactly feasible, so
+    s/q >= (lam - d) / (1 + d).  A bound counts only when d <= _RESIDUAL;
+    then lam >= _CERTIFY still proves s/q > 1 + 0.99e-6.  Rounding alone
+    leaves d far below _RESIDUAL (under 4e-14 on the 14-bus model and a
+    10x10 mesh).  A larger d means the multipliers are noise, as for a row
+    with P_jj = 1 (no other row reaches its direction), whose 1 - P_jj and
+    P_ji are all rounding; there d is near 1.  Such rows, and rows whose lam
+    is NaN or infinite, get NaN.
+    """
+    m = h.shape[0]
+    q, r = np.linalg.qr(h)
+    r_inv = np.linalg.inv(r)
+    lam = np.full(m, np.nan)
+    chunk = max(1, _BATCH_BYTES // (h.itemsize * m))  # rows of P per product
+    for start in range(0, m, chunk):
+        rows = np.arange(start, min(start + chunk, m))
+        p = q[rows] @ q.T
+        diag = (np.arange(rows.size), rows)
+        slack = 1.0 - p[diag]
+        p[diag] = 0.0
+        a = np.abs(p).max(axis=1, initial=0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = slack / a
+            e = (p @ h - slack[:, None] * h[rows]) / a[:, None]
+            d = np.linalg.norm(e @ r_inv, axis=1)
+        lam[rows] = np.where(np.isfinite(bound) & (d <= _RESIDUAL), bound, np.nan)
+    return lam
+
+
 def _checked_row(model: MeasurementModel, j: int) -> None:
     validate_model(model)
     if not 0 <= j < model.m:
@@ -279,19 +345,20 @@ def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
             x = parent[x]
         return x
 
-    first = []  # first nonzero column of each row, -1 for a zero row
-    for i in range(m):
-        cols = np.flatnonzero(h[i])
-        first.append(int(cols[0]) if cols.size else -1)
-        for c in cols[1:]:
-            ra, rb = find(int(cols[0])), find(int(c))
-            if ra != rb:
-                parent[rb] = ra
+    rows, cols = np.nonzero(h)  # row-major: each row's columns in ascending order
+    lead = np.ones(rows.size, dtype=bool)
+    lead[1:] = rows[1:] != rows[:-1]
+    first = np.full(m, -1)  # first nonzero column of each row, -1 for a zero row
+    first[rows[lead]] = cols[lead]
+    for a, c in zip(first[rows].tolist(), cols.tolist()):  # join each column to its row's first
+        ra, rb = find(a), find(c)
+        if ra != rb:
+            parent[rb] = ra
     # Filled in column order, so the blocks come sorted by their first column.
     comps: dict[int, tuple[list[int], list[int]]] = {}
     for c in range(n):
         comps.setdefault(find(c), ([], []))[1].append(c)
-    for i, c in enumerate(first):
+    for i, c in enumerate(first.tolist()):
         if c >= 0:
             comps[find(c)][0].append(i)
     return list(comps.values())
@@ -304,17 +371,21 @@ def detect_all(model: MeasurementModel) -> LeverageReport:
     carry global row indices, and null vectors are re-embedded with zeros
     on the other blocks, so the inequality values are those of the whole
     model.  Rows with empty support belong to no block and are reported
-    clean.
+    clean.  A row whose dual bound (``_dual_bounds``) proves it clean gets
+    no fit; the others are fitted in stacks, and a fit's result does not
+    depend on its stack.
     """
     validate_model(model)
     verdicts = [CLEAN] * model.m
     witnesses: dict[int, LeverageWitness] = {}
-    pivots = 0
+    pivots = certified = 0
     for rows, cols in _support_components(model.h):
         sub = model.h[np.ix_(rows, cols)]
+        fit = np.flatnonzero(~(_dual_bounds(sub) >= _CERTIFY))  # rows left to fit
+        certified += len(rows) - fit.size
         batch = max(1, _BATCH_BYTES // (sub.itemsize * sub.size))  # rows per stack
-        for start in range(0, len(rows), batch):
-            tested, spent = _row_tests(sub, np.arange(start, min(start + batch, len(rows))))
+        for start in range(0, fit.size, batch):
+            tested, spent = _row_tests(sub, fit[start:start + batch])
             pivots += spent
             for w in tested:
                 j = rows[w.row_index]
@@ -330,6 +401,7 @@ def detect_all(model: MeasurementModel) -> LeverageReport:
         verdicts=verdicts,
         witnesses=witnesses,
         combos_examined=pivots,
+        rows_certified=certified,
     )
 
 

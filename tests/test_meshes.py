@@ -129,8 +129,11 @@ def test_block_rows_equal_batch_of_one(k, seed):
 
 
 def test_block_split_across_stacks_gives_same_report(monkeypatch):
+    # Only the rows that their dual bound leaves uncertified are fitted.
     model = mesh_model(5, 3)
     whole = detect_all(model)
+    fitted = model.m - whole.rows_certified
+    assert (model.m, fitted) == (53, 13)
     calls = []
 
     def counted(h, z):
@@ -143,9 +146,10 @@ def test_block_split_across_stacks_gives_same_report(monkeypatch):
         monkeypatch.setattr(leverage, "_BATCH_BYTES", cap)
         calls.clear()
         split = detect_all(model)
-        assert calls == [rows] * (model.m // rows) + ([model.m % rows] if model.m % rows else [])
+        assert calls == [rows] * (fitted // rows) + ([fitted % rows] if fitted % rows else [])
         assert split.verdicts == whole.verdicts
         assert split.combos_examined == whole.combos_examined
+        assert split.rows_certified == whole.rows_certified
         assert split.witnesses.keys() == whole.witnesses.keys()
         for j, w in whole.witnesses.items():
             assert split.witnesses[j].basis == w.basis
