@@ -12,6 +12,13 @@ The reference data reproduced here comes with the two benchmark systems:
 Known misprints in the bundled direction-sweep table are handled through an
 explicit errata list, and the comparison harness demonstrates the misprint
 from the table's own internal sum identity rather than assuming it.
+
+Both studies run their fits in stacks.  Table 1 detects the clean and the
+corrupted 14-bus model, each from its own matrix, in one call of
+``detect_partitioned_many``.  The extra-row study draws all its trials
+first, then solves their leverage fits as one stack and their LAV fits as
+another, up to _MC_STACK trials at a time; ``single_trial`` is a batch of
+one of the same code.
 """
 
 from __future__ import annotations
@@ -24,16 +31,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgument
-from .lav import solve_lav
+# Imports marked "traced" are not called here; bench/spans.py wraps them as
+# experiments.<name>, so they stay importable from this module.
+from .lav import solve_lav  # traced
+from .lav import solve_lav_many
 from .leverage import (
     BOUNDARY,
     CLEAN,
     LEVERAGE,
     Partition,
     PartitionedReport,
-    detect_partitioned,
-    detect_row,  # not called here; bench/spans.py wraps experiments.detect_row
-    leverage_margin,
+    detect_partitioned,  # traced
+    detect_partitioned_many,
+    detect_row,  # traced
+    leverage_margin,  # traced
+    leverage_margins,
 )
 from .model import MeasurementModel
 from .power import GrossErrorSpec, fixture_model, inject_gross_errors
@@ -399,7 +411,11 @@ def reproduce_table1() -> Ieee14Result:
     """
     model = fixture_model("ieee14-dc")
     partitions = ieee14_partitions(model)
-    report = detect_partitioned(model, partitions)
+    corrupted = inject_gross_errors(
+        model, [GrossErrorSpec(label, _TABLE1_GROSS_ERROR)
+                for label, biased, _, _ in IEEE14_REFERENCE if biased])
+    # Both models are detected, each from its own matrix, in one call.
+    report, report2 = detect_partitioned_many([model, corrupted], partitions)
 
     # Labels with a boundary verdict that is not an exact tie in some partition.
     non_tie_boundary = {model.labels[part.measurement_indices[local]]
@@ -425,10 +441,6 @@ def reproduce_table1() -> Ieee14Result:
         ))
 
     n = len(IEEE14_REFERENCE)
-    corrupted = inject_gross_errors(
-        model, [GrossErrorSpec(label, _TABLE1_GROSS_ERROR)
-                for label, biased, _, _ in IEEE14_REFERENCE if biased])
-    report2 = detect_partitioned(corrupted, partitions)
     data_independent = report2.label_verdicts == report.label_verdicts
 
     strict_fp = [r.label for r in rows if r.merged_ours == LEVERAGE and not r.merged_reference_flagged]
@@ -471,6 +483,10 @@ def reproduce_table1() -> Ieee14Result:
 # Trials and seed of ``reproduce_mc`` when none are given.
 MC_TRIALS = 2000
 MC_SEED = 20260809
+# Trials run together as one stack of leverage fits and one of LAV fits;
+# more trials run as several such stacks, which bounds the memory a run
+# holds beyond its records.
+_MC_STACK = 4096
 ROW_VARIANCE = 30.0
 STATE_VARIANCE = 1.0
 GROSS_ERROR = 10.0
@@ -491,31 +507,47 @@ class MCTrialRecord:
 
 def single_trial(base: MeasurementModel, extra_row, theta_true) -> MCTrialRecord:
     """Run one augmented-model trial; pure given its inputs."""
-    extra_row = np.asarray(extra_row, dtype=float)
-    theta_true = np.asarray(theta_true, dtype=float)
-    h_aug = np.vstack([base.h, extra_row])
-    labels = base.labels + ("extra_row",)
-    z = h_aug @ theta_true
-    z[-1] += GROSS_ERROR
-    aug = MeasurementModel(h_aug, z, labels)
+    return _trials(base, [extra_row], [theta_true])[0]
 
-    j = aug.m - 1
-    margin, witness = leverage_margin(aug, j)
-    solution = solve_lav(aug)
-    deviated = bool(np.max(np.abs(solution.theta_hat - theta_true)) > DEVIATION_TOL)
-    return MCTrialRecord(
-        extra_row=extra_row,
-        detector_flagged=witness is not None,
-        lav_deviated=deviated,
-        s_q_margin=margin,
-        near_boundary=abs(margin) < BOUNDARY_BAND,
-    )
+
+def _trials(base: MeasurementModel, extra_rows, thetas_true) -> list[MCTrialRecord]:
+    """One record per (extra row, true state) pair.
+
+    Every augmented model has the base's shape plus one row, so the leverage
+    fits of all the trials run as one stack, and their LAV fits as another;
+    a fit's result does not depend on its stack.
+    """
+    extra_rows = [np.asarray(row, dtype=float) for row in extra_rows]
+    thetas_true = [np.asarray(theta, dtype=float) for theta in thetas_true]
+    labels = base.labels + ("extra_row",)
+    models = []
+    for extra_row, theta_true in zip(extra_rows, thetas_true):
+        h_aug = np.vstack([base.h, extra_row])
+        z = h_aug @ theta_true
+        z[-1] += GROSS_ERROR
+        models.append(MeasurementModel(h_aug, z, labels))
+
+    margins = leverage_margins(models, [base.m] * len(models))
+    solutions = solve_lav_many(models)
+    records = []
+    for extra_row, theta_true, (margin, witness), solution in zip(
+            extra_rows, thetas_true, margins, solutions):
+        records.append(MCTrialRecord(
+            extra_row=extra_row,
+            detector_flagged=witness is not None,
+            lav_deviated=bool(np.max(np.abs(solution.theta_hat - theta_true)) > DEVIATION_TOL),
+            s_q_margin=margin,
+            near_boundary=abs(margin) < BOUNDARY_BAND,
+        ))
+    return records
 
 
 def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord]:
     """Seeded trials of ``single_trial`` on the 3-bus model; optionally emits a CSV.
 
-    CSV columns: h81, h82, flagged, deviated, margin.
+    All the trials are drawn first and then run together (``_trials``),
+    up to _MC_STACK at a time.  CSV columns: h81, h82, flagged, deviated,
+    margin.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -523,11 +555,13 @@ def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord
         raise InvalidArgument("seed must be >= 0")
     base = fixture_model("threebus-dc")
     rng = np.random.default_rng(seed)
-    records = []
+    extras, thetas = [], []
     for _ in range(trials):
-        extra = rng.normal(0.0, math.sqrt(ROW_VARIANCE), size=base.n)
-        theta = rng.normal(0.0, math.sqrt(STATE_VARIANCE), size=base.n)
-        records.append(single_trial(base, extra, theta))
+        extras.append(rng.normal(0.0, math.sqrt(ROW_VARIANCE), size=base.n))
+        thetas.append(rng.normal(0.0, math.sqrt(STATE_VARIANCE), size=base.n))
+    records = []
+    for start in range(0, trials, _MC_STACK):
+        records += _trials(base, extras[start:start + _MC_STACK], thetas[start:start + _MC_STACK])
     if csv_path is not None:
         write_mc_csv(records, seed, csv_path)
     return records

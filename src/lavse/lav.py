@@ -10,8 +10,9 @@ however many rows there are.  A fixed tiny shift of z keeps every other
 residual away from zero, the classical cure for cycling on degenerate
 vertices (Charnes, Econometrica 20(2), 1952).  ``simplex`` takes a stack
 of fits of one shape and pivots them in lockstep, so the leverage test
-(``leverage.py``) solves the per-row fits of a whole block in one call;
-``solve_lav`` is a stack of one.
+(``leverage.py``) solves the per-row fits of many blocks in one call, and
+``solve_lav_many`` fits many models of one shape at once; ``solve_lav`` is
+a stack of one.
 ``lav_vertex_oracle`` solves the problem by brute-force enumeration of
 the square subsystems whose solutions are the candidate vertices; it
 exists to cross-check the simplex and is guarded to small sizes.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,10 +108,24 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
 
 
 def solve_lav(model: MeasurementModel) -> LavSolution:
-    """Globally minimize the sum of absolute residuals."""
-    validate_model(model)
-    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None])
-    return _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
+    """Globally minimize the sum of absolute residuals: ``solve_lav_many`` of one model."""
+    return solve_lav_many([model])[0]
+
+
+def solve_lav_many(models: Sequence[MeasurementModel]) -> list[LavSolution]:
+    """``solve_lav`` of each of the given models of one shape, as one stack of the simplex.
+
+    A fit's pivots and result do not depend on its stack, so each solution
+    is the one its model gets alone.
+    """
+    for model in models:
+        validate_model(model)
+    if not models:
+        return []
+    theta, _, iterations, degenerate = simplex(np.stack([model.h for model in models]),
+                                               np.stack([model.z for model in models]))
+    return [_finish(model, t, i, d) for model, t, i, d in
+            zip(models, theta, iterations.tolist(), degenerate.tolist())]
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,10 +24,10 @@ relative margin (q - s)/q, which does not change when H is multiplied by
 a constant.  The verdict thus comes from the best basis, so it is canonical,
 and the cost is polynomial rather than C(M-1, N-1) bases per row.
 ``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
-reference for tests.  ``detect_all`` first splits the model into connected
-blocks of the row-support graph: rows in one block are orthogonal to null
-directions of another, so per-block detection yields the same verdicts on
-smaller fits.
+reference for tests.  ``detect_many`` first splits each model into
+connected blocks of the row-support graph: rows in one block are orthogonal
+to null directions of another, so per-block detection yields the same
+verdicts on smaller fits.
 
 Most rows need no fit at all.  Row j's LP has the dual
 
@@ -39,9 +39,15 @@ margin (q - s)/q is at most 1 - lam.  The hat matrix P = Q Q^T of a block
 u_i = P_ji / max_{i != j} |P_ji| and lam = (1 - P_jj) / max_{i != j} |P_ji|.
 A row whose lam is at least 1 + 1e-6, and whose multipliers meet the
 equality up to rounding, is certified clean (``_dual_bounds``).  Only the
-other rows go to the simplex, in stacks of at most _BATCH_BYTES; a fit's
-pivots and result do not depend on its stack, so every flagged row's
-witness is the one its fit gives alone.
+other rows go to the simplex, in stacks of at most _BATCH_BYTES.
+
+Blocks of one shape are screened and fitted together, across the blocks
+of a model, the partitions of ``detect_partitioned`` and all the models
+given to ``detect_many``: at these sizes a simplex call costs its numpy
+dispatch more than its arithmetic.  A block's bounds and a fit's pivots
+and result do not depend on their stack, so every report, with every
+flagged row's witness, is the one its model gets alone; ``detect_all`` is
+``detect_many`` of one model.
 """
 
 from __future__ import annotations
@@ -211,48 +217,64 @@ def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[Leverag
     return witness.margin(), None if classify(witness) == CLEAN else witness
 
 
-def _row_tests(h: np.ndarray, rows: np.ndarray) -> tuple[list[LeverageWitness], int]:
-    """Witness of the best basis of each given nonzero row of h, and the simplex pivots.
+def _row_tests(h: np.ndarray, rows: np.ndarray) -> tuple[list[LeverageWitness], np.ndarray]:
+    """Witness of the best basis of each given nonzero row, and each fit's simplex pivots.
 
+    h is (F, M, N), one matrix per fit, and fit f tests row rows[f] of h[f].
     The best basis of row j is the vertex of min sum_{i != j} |h_i . v|
     subject to h_j . v = 1.  With c the largest |h_jc| (partial pivoting),
     v_c = (1 - sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with
     r_i = h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of
     r on g.  g has full column rank whenever h does, since g w = 0 forces
     h v = 0.  The fit's w, completed by v_c and scaled to unit length, is
-    the null vector of the witness basis.  Every row's g is (M-1) x (N-1),
-    so the fits of all the rows run as one stack through ``simplex``.
+    the null vector of the witness basis.  Every fit's g is (M-1) x (N-1),
+    so they all run as one stack through ``simplex``.
     """
-    m, n = h.shape
-    fits = np.arange(rows.size)
-    hj = h[rows]
+    fits, m, n = h.shape
+    f = np.arange(fits)
+    hj = h[f, rows]
     c = np.argmax(np.abs(hj), axis=1)
     others = np.arange(m - 1) + (np.arange(m - 1) >= rows[:, None])  # every row but j
     rest = np.arange(n - 1) + (np.arange(n - 1) >= c[:, None])  # every column but c
-    lead = hj[fits, c]
-    r = h[others, c[:, None]] / lead[:, None]
-    hj_rest = hj[fits[:, None], rest]
-    g = r[:, :, None] * hj_rest[:, None] - h[others[:, :, None], rest[:, None]]
+    lead = hj[f, c]
+    r = h[f[:, None], others, c[:, None]] / lead[:, None]
+    hj_rest = hj[f[:, None], rest]
+    g = r[:, :, None] * hj_rest[:, None] - h[f[:, None, None], others[:, :, None], rest[:, None]]
     w, tight, pivots, _ = simplex(g, r)
-    v = np.empty((rows.size, n))
-    v[fits[:, None], rest] = w
-    v[fits, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+    v = np.empty((fits, n))
+    v[f[:, None], rest] = w
+    v[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
     v = oriented(v / np.sqrt(v[:, None] @ v[..., None])[:, 0])
     proj = np.abs(h @ v[..., None])[..., 0]
-    q = proj[fits, rows]
+    q = proj[f, rows]
     s = proj.sum(axis=1) - q
-    bases = others[fits[:, None], tight].tolist()
+    bases = others[f[:, None], tight].tolist()
     witnesses = [LeverageWitness(row_index=j, basis=tuple(b), v=vj, s=sj, q=qj)
                  for j, b, vj, sj, qj in zip(rows.tolist(), bases, v, s.tolist(), q.tolist())]
-    return witnesses, int(pivots.sum())
+    return witnesses, pivots
+
+
+def _stacked_tests(h: np.ndarray, fit: np.ndarray,
+                   rows: np.ndarray) -> tuple[list[LeverageWitness], list[int]]:
+    """``_row_tests`` of row rows[i] of h[fit[i]] for every i, in stacks of at most _BATCH_BYTES."""
+    batch = max(1, _BATCH_BYTES // (h.itemsize * h[0].size))  # fits per stack
+    witnesses: list[LeverageWitness] = []
+    pivots: list[int] = []
+    for start in range(0, rows.size, batch):
+        part = slice(start, start + batch)
+        tested, spent = _row_tests(h[fit[part]], rows[part])
+        witnesses += tested
+        pivots += spent.tolist()
+    return witnesses, pivots
 
 
 def _dual_bounds(h: np.ndarray) -> np.ndarray:
-    """Proven lower bound lam on s/q over every basis, per row of a full-rank h.
+    """Proven lower bound lam on s/q over every basis, per row of each full-rank matrix.
 
-    lam is the value of the dual multipliers u_i = P_ji / a, a = max_{i != j}
-    |P_ji|, that the hat matrix P gives row j (see the module docstring):
-    for every v, lam q = |sum_{i != j} u_i h_i . v| <= s.
+    h is (..., M, N) and lam is (..., M).  lam is the value of the dual
+    multipliers u_i = P_ji / a, a = max_{i != j} |P_ji|, that the hat
+    matrix P gives row j (see the module docstring): for every v,
+    lam q = |sum_{i != j} u_i h_i . v| <= s.
 
     In floating point, sum_{i != j} u_i h_i = lam h_j holds up to a
     residual e.  As h has full
@@ -265,25 +287,36 @@ def _dual_bounds(h: np.ndarray) -> np.ndarray:
     with P_jj = 1 (no other row reaches its direction), whose 1 - P_jj and
     P_ji are all rounding; there d is near 1.  Such rows, and rows whose lam
     is NaN or infinite, get NaN.
+
+    Each product takes the same rows of a matrix's P as for that matrix
+    alone, with as many matrices side by side as _BATCH_BYTES allows, so a
+    matrix's bounds do not depend on the others in its stack.
     """
-    m = h.shape[0]
-    q, r = np.linalg.qr(h)
+    m, n = h.shape[-2:]
+    stack = h.reshape(-1, m, n)
+    q, r = np.linalg.qr(stack)
     r_inv = np.linalg.inv(r)
-    lam = np.full(m, np.nan)
-    chunk = max(1, _BATCH_BYTES // (h.itemsize * m))  # rows of P per product
-    for start in range(0, m, chunk):
-        rows = np.arange(start, min(start + chunk, m))
-        p = q[rows] @ q.T
-        diag = (np.arange(rows.size), rows)
-        slack = 1.0 - p[diag]
-        p[diag] = 0.0
-        a = np.abs(p).max(axis=1, initial=0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bound = slack / a
-            e = (p @ h - slack[:, None] * h[rows]) / a[:, None]
-            d = np.linalg.norm(e @ r_inv, axis=1)
-        lam[rows] = np.where(np.isfinite(bound) & (d <= _RESIDUAL), bound, np.nan)
-    return lam
+    lam = np.empty(stack.shape[:2])
+    chunk = max(1, _BATCH_BYTES // (h.itemsize * m))  # rows of one P per product
+    width = max(1, _BATCH_BYTES // (h.itemsize * m * min(chunk, m)))  # matrices per product
+    for first in range(0, stack.shape[0], width):
+        b = slice(first, first + width)
+        q_t = q[b].transpose(0, 2, 1)
+        for start in range(0, m, chunk):
+            rows = slice(start, start + chunk)
+            # A copy: numpy sends the product of an array with its own
+            # transpose to a symmetric kernel, which rounds otherwise.
+            p = q[b, rows].copy() @ q_t
+            diag = np.einsum("bii->bi", p[:, :, rows])  # a writable view of each P_jj
+            slack = 1.0 - diag
+            diag[...] = 0.0
+            a = np.abs(p).max(axis=2, initial=0.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                bound = slack / a
+                e = (p @ stack[b] - slack[..., None] * stack[b, rows]) / a[..., None]
+                d = np.linalg.norm(e @ r_inv[b], axis=2)
+            lam[b, rows] = np.where(np.isfinite(bound) & (d <= _RESIDUAL), bound, np.nan)
+    return lam.reshape(h.shape[:-1])
 
 
 def _checked_row(model: MeasurementModel, j: int) -> None:
@@ -302,12 +335,31 @@ def leverage_margin(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
 
     Positive margins mean the inequality holds strictly for some basis;
     values near zero sit on the boundary between the two classes.  A zero
-    row has margin -inf and no witness.
+    row has margin -inf and no witness.  This is ``leverage_margins`` of
+    one model.
     """
-    _checked_row(model, j)
-    if not model.h[j].any():  # zero row: no support, cannot dominate any direction
-        return -np.inf, None
-    return _graded(_row_tests(model.h, np.array([j]))[0][0])
+    return leverage_margins([model], [j])[0]
+
+
+def leverage_margins(models: Sequence[MeasurementModel],
+                     rows: Sequence[int]) -> list[tuple[float, Optional[LeverageWitness]]]:
+    """``leverage_margin`` of row rows[k] of models[k], for models of one shape.
+
+    The fits of all the nonzero rows run as stacks of the simplex, and a
+    fit's result does not depend on its stack.
+    """
+    for model, j in zip(models, rows):
+        _checked_row(model, j)
+    graded: list[tuple[float, Optional[LeverageWitness]]] = [(-np.inf, None)] * len(models)
+    # A zero row has no support and cannot dominate any direction: it gets no fit.
+    fit = np.array([k for k, (model, j) in enumerate(zip(models, rows)) if model.h[j].any()],
+                   dtype=np.intp)
+    if fit.size:
+        h = np.stack([models[k].h for k in fit])
+        tested, _ = _stacked_tests(h, np.arange(fit.size), np.asarray(rows, dtype=np.intp)[fit])
+        for k, w in zip(fit.tolist(), tested):
+            graded[k] = _graded(w)
+    return graded
 
 
 def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
@@ -365,44 +417,58 @@ def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:
 
 
 def detect_all(model: MeasurementModel) -> LeverageReport:
-    """Classify every row of the model.
+    """Classify every row of the model: ``detect_many`` of one model."""
+    return detect_many([model])[0]
+
+
+def detect_many(models: Sequence[MeasurementModel]) -> list[LeverageReport]:
+    """Classify every row of each model.
 
     Detection runs per connected block of the support graph; witnesses
     carry global row indices, and null vectors are re-embedded with zeros
     on the other blocks, so the inequality values are those of the whole
     model.  Rows with empty support belong to no block and are reported
-    clean.  A row whose dual bound (``_dual_bounds``) proves it clean gets
-    no fit; the others are fitted in stacks, and a fit's result does not
-    depend on its stack.
+    clean.  The blocks of one shape, across all the models, are screened
+    together: a row whose dual bound (``_dual_bounds``) proves it clean
+    gets no fit, and the others are fitted in stacks.  A block's bounds and
+    a fit's result do not depend on their stack, so each model's report is
+    the one it gets alone.
     """
-    validate_model(model)
-    verdicts = [CLEAN] * model.m
-    witnesses: dict[int, LeverageWitness] = {}
-    pivots = certified = 0
-    for rows, cols in _support_components(model.h):
-        sub = model.h[np.ix_(rows, cols)]
-        fit = np.flatnonzero(~(_dual_bounds(sub) >= _CERTIFY))  # rows left to fit
-        certified += len(rows) - fit.size
-        batch = max(1, _BATCH_BYTES // (sub.itemsize * sub.size))  # rows per stack
-        for start in range(0, fit.size, batch):
-            tested, spent = _row_tests(sub, fit[start:start + batch])
-            pivots += spent
-            for w in tested:
-                j = rows[w.row_index]
-                verdicts[j] = classify(w)
-                if verdicts[j] != CLEAN:
-                    v_full = np.zeros(model.n)
-                    v_full[cols] = w.v
-                    witnesses[j] = LeverageWitness(row_index=j,
-                                                   basis=tuple(rows[b] for b in w.basis),
-                                                   v=v_full, s=w.s, q=w.q)
-    return LeverageReport(
-        labels=model.labels,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        combos_examined=pivots,
-        rows_certified=certified,
-    )
+    for model in models:
+        validate_model(model)
+    blocks = [(k, rows, cols) for k, model in enumerate(models)
+              for rows, cols in _support_components(model.h)]
+    groups: dict[tuple[int, int], list[int]] = {}  # block shape -> its blocks
+    for b, (_, rows, cols) in enumerate(blocks):
+        groups.setdefault((len(rows), len(cols)), []).append(b)
+    found: list[dict[int, LeverageWitness]] = [{} for _ in blocks]
+    verdicts = [[CLEAN] * model.m for model in models]
+    pivots = [0] * len(models)
+    certified = [0] * len(models)
+    for group in groups.values():
+        subs = np.array([models[k].h[np.ix_(rows, cols)]
+                         for k, rows, cols in (blocks[b] for b in group)])
+        fit, local = np.nonzero(~(_dual_bounds(subs) >= _CERTIFY))  # rows left to fit
+        for b, left in zip(group, np.bincount(fit, minlength=len(group)).tolist()):
+            certified[blocks[b][0]] += subs.shape[1] - left
+        tested, spent = _stacked_tests(subs, fit, local)
+        for i, w, p in zip(fit.tolist(), tested, spent):
+            k, rows, cols = blocks[group[i]]
+            pivots[k] += p
+            j = rows[w.row_index]
+            verdicts[k][j] = classify(w)
+            if verdicts[k][j] != CLEAN:
+                v_full = np.zeros(models[k].n)
+                v_full[cols] = w.v
+                found[group[i]][j] = LeverageWitness(row_index=j,
+                                                      basis=tuple(rows[t] for t in w.basis),
+                                                      v=v_full, s=w.s, q=w.q)
+    witnesses: list[dict[int, LeverageWitness]] = [{} for _ in models]
+    for (k, _, _), block_found in zip(blocks, found):  # block by block, as each model alone
+        witnesses[k].update(block_found)
+    return [LeverageReport(labels=model.labels, verdicts=verdicts[k], witnesses=witnesses[k],
+                           combos_examined=pivots[k], rows_certified=certified[k])
+            for k, model in enumerate(models)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +589,18 @@ def detect_partitioned(model: MeasurementModel,
     A row flagged in any partition containing it stays flagged in the
     merge; rows classified differently across partitions are listed in the
     consistency notes for manual comparison.  Partition names must be
-    distinct, since the per-label record is keyed on them.
+    distinct, since the per-label record is keyed on them.  This is
+    ``detect_partitioned_many`` of one model.
+    """
+    return detect_partitioned_many([model], partitions)[0]
+
+
+def detect_partitioned_many(models: Sequence[MeasurementModel],
+                            partitions: Sequence[Partition]) -> list[PartitionedReport]:
+    """``detect_partitioned`` of each model under the same partitions.
+
+    Each model resolves the partitions on its own matrix, and the
+    submodels of every model and partition go through one ``detect_many``.
     """
     if not partitions:
         raise EmptyPartition("no partitions supplied")
@@ -531,10 +608,19 @@ def detect_partitioned(model: MeasurementModel,
     for i, name in enumerate(names):
         if name in names[:i]:
             raise InvalidArgument(f"duplicate partition name {name!r}")
-    reports: list[tuple[Partition, LeverageReport]] = []
+    resolved = [[resolve_partition(model, p) for p in partitions] for model in models]
+    reports = iter(detect_many([model.submodel(part.measurement_indices, part.state_columns)
+                                for model, parts in zip(models, resolved) for part in parts]))
+    return [_merged(model, [(part, next(reports)) for part in parts])
+            for model, parts in zip(models, resolved)]
+
+
+def _merged(model: MeasurementModel,
+            reports: list[tuple[Partition, LeverageReport]]) -> PartitionedReport:
+    """The per-label record, merge and notes of one model's partition reports."""
     label_verdicts: dict[str, dict[str, str]] = {}
     notes: list[str] = []
-    for part in [resolve_partition(model, p) for p in partitions]:
+    for part, rep in reports:
         if part.dropped_columns:
             dropped = [
                 model.state_labels[c] if model.state_labels else str(c)
@@ -543,8 +629,6 @@ def detect_partitioned(model: MeasurementModel,
             notes.append(
                 f"partition {part.name!r}: re-referenced by dropping column(s) {', '.join(dropped)}"
             )
-        rep = detect_all(model.submodel(part.measurement_indices, part.state_columns))
-        reports.append((part, rep))
         for global_i, verdict in zip(part.measurement_indices, rep.verdicts):
             label_verdicts.setdefault(model.labels[global_i], {})[part.name] = verdict
 

@@ -52,8 +52,10 @@ def assert_sound(model):
     for rows, cols in _support_components(model.h):
         sub = model.h[np.ix_(rows, cols)]
         lam = _dual_bounds(sub)
-        exact = [w for start in range(0, len(rows), STACK)
-                 for w in _row_tests(sub, np.arange(start, min(start + STACK, len(rows))))[0]]
+        exact = []
+        for start in range(0, len(rows), STACK):
+            part = np.arange(start, min(start + STACK, len(rows)))
+            exact += _row_tests(np.broadcast_to(sub, (part.size,) + sub.shape), part)[0]
         for j, w in enumerate(exact):
             if lam[j] >= _CERTIFY:
                 assert classify(w) == CLEAN, model.labels[rows[j]]

@@ -1,14 +1,20 @@
 """Reference-table reproduction and the randomized extra-row study."""
 
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lavse import MeasurementModel, fixture_model
+from lavse import MeasurementModel, experiments, fixture_model, lav, leverage
 from lavse.experiments import (
     DEVIATION_TOL,
     GROSS_ERROR,
+    ROW_VARIANCE,
+    STATE_VARIANCE,
+    _trials,
     SWEEP_DIRECTIONS,
     SWEEP_ERRATA,
     SWEEP_PRINTED,
@@ -163,6 +169,45 @@ class TestMonteCarlo:
             assert a.lav_deviated == b.lav_deviated
             assert a.s_q_margin == pytest.approx(b.s_q_margin, abs=1e-9)
 
+    def test_batched_trials_equal_one_by_one(self, monkeypatch):
+        # run_monte_carlo runs its trials' leverage fits as one stack and
+        # their LAV fits as another; each record must be bitwise the one
+        # single_trial gives.  A zero extra row gets margin -inf and no fit.
+        base = fixture_model("threebus-dc")
+        rng = np.random.default_rng(99)
+        draws = [(rng.normal(0.0, math.sqrt(ROW_VARIANCE), size=base.n),
+                  rng.normal(0.0, math.sqrt(STATE_VARIANCE), size=base.n)) for _ in range(50)]
+        calls = []
+
+        def counted(module):
+            fit = module.simplex
+
+            def run(h, z):
+                calls.append((module.__name__, h.shape[0]))
+                return fit(h, z)
+            return run
+
+        for module in (leverage, lav):
+            monkeypatch.setattr(module, "simplex", counted(module))
+
+        def bits(records):
+            return [(r.extra_row.tobytes(), r.detector_flagged, r.lav_deviated,
+                     float(r.s_q_margin).hex(), r.near_boundary) for r in records]
+
+        alone = [single_trial(base, extra, theta) for extra, theta in draws]
+        assert bits(run_monte_carlo(50, 99)) == bits(alone)
+        calls.clear()
+        monkeypatch.setattr(experiments, "_MC_STACK", 20)  # stacks of 20, 20 and 10 trials
+        assert bits(run_monte_carlo(50, 99)) == bits(alone)
+        assert calls == [(module, size) for size in (20, 20, 10)
+                         for module in ("lavse.leverage", "lavse.lav")]
+        zero = (np.zeros(base.n), np.array([0.3, -1.2]))
+        calls.clear()
+        mixed = _trials(base, *zip(*draws[:7], zero, *draws[7:]))
+        assert calls == [("lavse.leverage", 50), ("lavse.lav", 51)]
+        assert bits(mixed) == bits(alone[:7] + [single_trial(base, *zero)] + alone[7:])
+        assert mixed[7].s_q_margin == -math.inf and not mixed[7].detector_flagged
+
     def test_agreement_smoke(self):
         result = reproduce_mc(trials=300, seed=7)
         assert result.passed
@@ -182,3 +227,15 @@ class TestMonteCarlo:
         manual = sum(r.detector_flagged == r.lav_deviated for r in eligible) / len(eligible)
         assert result.eligible == len(eligible) < 200
         assert result.agreement == pytest.approx(manual)
+
+
+def test_traced_names_stay_importable():
+    # bench/spans.py wraps each of these attributes where its caller looks it up.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for targets, _ in spans.LAYERS.values():
+        for target in targets:
+            module, attr = target.split(".")
+            assert callable(getattr(importlib.import_module(f"lavse.{module}"), attr)), target

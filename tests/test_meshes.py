@@ -14,9 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lavse import detect_all, leverage, leverage_margin, load_model, matrix_rank, solve_lav
+from lavse import (
+    MeasurementModel,
+    detect_all,
+    fixture_model,
+    leverage,
+    leverage_margin,
+    load_model,
+    matrix_rank,
+    resolve_partition,
+    solve_lav,
+)
+from lavse.experiments import ieee14_partitions
 from lavse.lav import simplex
-from lavse.leverage import classify
+from lavse.leverage import _support_components, classify, detect_many
 from lavse.power import Line, MeasurementSpec, NetworkModel, build_dc_model
 
 
@@ -111,11 +122,12 @@ def test_block_rows_equal_batch_of_one(k, seed):
     # solves its row alone.  On a one-block model both fit the same system.
     model = mesh_model(k, seed)
     report = detect_all(model)
-    stacked, _ = leverage._row_tests(model.h, np.arange(model.m))
+    stacked, _ = leverage._row_tests(np.broadcast_to(model.h, (model.m,) + model.h.shape),
+                                     np.arange(model.m))
     assert sum(v != "clean" for v in report.verdicts) > 0
     for j in range(model.m):
         margin, witness = leverage_margin(model, j)
-        alone = leverage._row_tests(model.h, np.array([j]))[0][0]
+        alone = leverage._row_tests(model.h[None], np.array([j]))[0][0]
         for w in (stacked[j], report.witnesses.get(j)):
             if w is None:
                 assert witness is None and report.verdicts[j] == "clean"
@@ -155,6 +167,101 @@ def test_block_split_across_stacks_gives_same_report(monkeypatch):
             assert split.witnesses[j].basis == w.basis
             assert np.array_equal(split.witnesses[j].v, w.v)
             assert (split.witnesses[j].s, split.witnesses[j].q) == (w.s, w.q)
+
+
+def _block_diagonal(a, b):
+    h = np.zeros((a.m + b.m, a.n + b.n))
+    h[:a.m, :a.n] = a.h
+    h[a.m:, a.n:] = b.h
+    return MeasurementModel(h, np.concatenate([a.z, b.z]),
+                            tuple(f"a.{x}" for x in a.labels) + tuple(f"b.{x}" for x in b.labels))
+
+
+def _shared_shape_models():
+    """Models whose support blocks share a shape, within and across models."""
+    ieee14 = fixture_model("ieee14-dc")
+    parts = [resolve_partition(ieee14, p) for p in ieee14_partitions(ieee14)]
+    mesh = mesh_model(5, 3)
+    return {
+        "pmu": [fixture_model("threebus-pmu")],  # two 10 x 3 blocks
+        "ieee14": [ieee14.submodel(p.measurement_indices, p.state_columns) for p in parts],
+        "mesh": [_block_diagonal(mesh, mesh)],  # two 53 x 24 blocks
+    }
+
+
+def _per_block(model):
+    """Each support block detected as a model of its own, in the model's indices.
+
+    Returns the report's fields (witnesses as bytes) and, per block, its
+    shape and the number of rows it fits.
+    """
+    verdicts, witnesses, pivots, certified, fitted = ["clean"] * model.m, {}, 0, 0, []
+    for rows, cols in _support_components(model.h):
+        rep = detect_all(model.submodel(rows, cols))
+        pivots += rep.combos_examined
+        certified += rep.rows_certified
+        fitted.append(((len(rows), len(cols)), len(rows) - rep.rows_certified))
+        for i, verdict in enumerate(rep.verdicts):
+            verdicts[rows[i]] = verdict
+        for i, w in rep.witnesses.items():
+            v = np.zeros(model.n)
+            v[cols] = w.v
+            witnesses[rows[i]] = (tuple(rows[b] for b in w.basis), v.tobytes(), w.s, w.q)
+    return (verdicts, witnesses, pivots, certified), fitted
+
+
+def _fields(report):
+    return (report.verdicts,
+            {j: (w.basis, w.v.tobytes(), w.s, w.q) for j, w in report.witnesses.items()},
+            report.combos_examined, report.rows_certified)
+
+
+@pytest.mark.parametrize("case", ["pmu", "ieee14", "mesh", "all"])
+@pytest.mark.parametrize("rows_per_stack", [1, 3])
+def test_grouped_detection_equals_per_block(monkeypatch, case, rows_per_stack):
+    # detect_many screens and fits the blocks of one shape together, across
+    # blocks and models; each model's report must be bitwise the one its
+    # blocks get alone, whichever stacks the fits share.
+    cases = _shared_shape_models()
+    models = sum(cases.values(), []) if case == "all" else cases[case]
+    expected, fitted = zip(*(_per_block(model) for model in models))
+    per_shape = {}
+    for shape, rows in sum(fitted, []):
+        per_shape[shape] = per_shape.get(shape, 0) + rows
+    assert len(per_shape) < sum(map(len, fitted))  # some blocks share a shape
+    shared = {"pmu": (10, 3), "ieee14": (13, 8), "mesh": (53, 24), "all": (13, 8)}[case]
+    cap = 1 if rows_per_stack == 1 else rows_per_stack * 8 * shared[0] * shared[1]
+    calls = []
+
+    def counted(h, z):
+        calls.append(h.shape[0])
+        return simplex(h, z)
+
+    monkeypatch.setattr(leverage, "simplex", counted)
+    monkeypatch.setattr(leverage, "_BATCH_BYTES", cap)
+    reports = detect_many(models)
+    assert [_fields(r) for r in reports] == list(expected)
+
+    # The fits of each shape fill their stacks across the blocks.
+    def stacks(rows_by_shape):
+        sizes = []
+        for (m, n), rows in rows_by_shape:
+            k = max(1, cap // (8 * m * n))
+            sizes += [k] * (rows // k) + ([rows % k] if rows % k else [])
+        return sorted(sizes)
+
+    assert sorted(calls) == stacks(per_shape.items())
+    if rows_per_stack > 1:  # and not as each block on its own would
+        assert sorted(calls) != stacks(sum(fitted, []))
+    # The screen of a stack gives each block bitwise its bounds alone.
+    subs = {}
+    for model in models:
+        for rows, cols in _support_components(model.h):
+            subs.setdefault((len(rows), len(cols)), []).append(model.h[np.ix_(rows, cols)])
+    for group in subs.values():
+        lam = leverage._dual_bounds(np.stack(group))
+        for b, sub in enumerate(group):
+            assert lam[b].tobytes() == leverage._dual_bounds(sub).tobytes()
 
 
 @pytest.mark.parametrize("k, seed", [(5, 0), (5, 1), (5, 2), (5, 3), (8, 0), (8, 1)])

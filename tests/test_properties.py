@@ -108,7 +108,8 @@ def test_stacked_rows_equal_batch_of_one(model):
     # simplex; leverage_margin fits its row alone.
     report = detect_all(model)
     one_block = len(_support_components(model.h)) == 1 and model.h.any(axis=1).all()
-    stacked = _row_tests(model.h, np.arange(model.m))[0] if one_block else []
+    stacked = _row_tests(np.broadcast_to(model.h, (model.m,) + model.h.shape),
+                         np.arange(model.m))[0] if one_block else []
     for j in range(model.m):
         margin, witness = leverage_margin(model, j)
         assert report.verdicts[j] == classify(witness)
@@ -117,7 +118,7 @@ def test_stacked_rows_equal_batch_of_one(model):
         if witness is not None:
             assert abs(batched.margin() - margin) <= 1e-12
         if one_block:  # then both fit the same system for row j
-            alone = _row_tests(model.h, np.array([j]))[0][0]
+            alone = _row_tests(model.h[None], np.array([j]))[0][0]
             assert _same_witness(stacked[j], alone)
             assert batched is None or _same_witness(batched, alone)
 
