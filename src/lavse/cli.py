@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: estimate, detect, ps, build, reproduce.  Exit codes:
-0 success, 2 parse/usage error, 3 numerical precondition failure,
-4 reproduction mismatch, 5 internal error.
+0 success, 2 parse/usage error or a path that cannot be read or written,
+3 numerical precondition failure, 4 reproduction mismatch, 5 internal error.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"parse error: line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return EXIT_PARSE
-    except (ParseError, FileNotFoundError) as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:  # OSError: unreadable or unwritable path
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except _NUMERIC_ERRORS as err:

@@ -16,9 +16,11 @@ from the table's own internal sum identity rather than assuming it.
 Both studies run their fits in stacks.  Table 1 detects the clean and the
 corrupted 14-bus model, each from its own matrix, in one call of
 ``detect_partitioned_many``.  The extra-row study draws all its trials
-first, then solves their leverage fits as one stack and their LAV fits as
-another, up to _MC_STACK trials at a time; ``single_trial`` is a batch of
-one of the same code.
+first and stacks their augmented matrices as one (T, M+1, N) array, up to
+_MC_STACK trials at a time; it then solves their leverage fits as one
+stack and their LAV fits as another, straight from the arrays, with no
+per-trial model or solution object.  ``single_trial`` is a batch of one of
+the same code.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import DimensionMismatch, InvalidArgument, NonFinite
 # Imports marked "traced" are not called here; bench/spans.py wraps them as
 # experiments.<name>, so they stay importable from this module.
+from .lav import simplex
 from .lav import solve_lav  # traced
-from .lav import solve_lav_many
 from .leverage import (
     BOUNDARY,
     CLEAN,
@@ -47,7 +49,7 @@ from .leverage import (
     leverage_margin,  # traced
     leverage_margins,
 )
-from .model import MeasurementModel
+from .model import MeasurementModel, validate_model
 from .power import GrossErrorSpec, fixture_model, inject_gross_errors
 from .projstats import compute_ps
 
@@ -513,33 +515,38 @@ def single_trial(base: MeasurementModel, extra_row, theta_true) -> MCTrialRecord
 def _trials(base: MeasurementModel, extra_rows, thetas_true) -> list[MCTrialRecord]:
     """One record per (extra row, true state) pair.
 
-    Every augmented model has the base's shape plus one row, so the leverage
-    fits of all the trials run as one stack, and their LAV fits as another;
-    a fit's result does not depend on its stack.
+    Trial k's matrix is the base with extra_rows[k] appended, and its
+    measurements are that matrix times thetas_true[k], with GROSS_ERROR
+    added to the extra row's.  All the matrices have one shape, so they
+    stack as one array; the leverage fits of all the trials run as one
+    stack, and their LAV fits as another, and a fit's result does not
+    depend on its stack.  Appending a row cannot lower the column rank, so
+    the base is the only matrix that needs a rank check.
     """
-    extra_rows = [np.asarray(row, dtype=float) for row in extra_rows]
-    thetas_true = [np.asarray(theta, dtype=float) for theta in thetas_true]
-    labels = base.labels + ("extra_row",)
-    models = []
-    for extra_row, theta_true in zip(extra_rows, thetas_true):
-        h_aug = np.vstack([base.h, extra_row])
-        z = h_aug @ theta_true
-        z[-1] += GROSS_ERROR
-        models.append(MeasurementModel(h_aug, z, labels))
+    validate_model(base)
+    m, n = base.h.shape
+    extra_rows = [np.asarray(row, dtype=float).reshape(-1) for row in extra_rows]
+    thetas_true = [np.asarray(theta, dtype=float).reshape(-1) for theta in thetas_true]
+    if len(extra_rows) != len(thetas_true) or any(x.shape != (n,) for x in extra_rows + thetas_true):
+        raise DimensionMismatch(f"need one true state per extra row, each of length {n}")
+    h = np.empty((len(extra_rows), m + 1, n))
+    h[:, :m] = base.h
+    h[:, m] = np.reshape(extra_rows, (-1, n))
+    # Each trial's measurements are its own matrix-vector product; a
+    # non-finite one is rejected below, so it needs no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = np.array([h_k @ theta for h_k, theta in zip(h, thetas_true)]).reshape(-1, m + 1)
+    z[:, m] += GROSS_ERROR
+    if not (np.isfinite(h).all() and np.isfinite(z).all()):
+        raise NonFinite("extra rows and their measurements must be finite")
 
-    margins = leverage_margins(models, [base.m] * len(models))
-    solutions = solve_lav_many(models)
-    records = []
-    for extra_row, theta_true, (margin, witness), solution in zip(
-            extra_rows, thetas_true, margins, solutions):
-        records.append(MCTrialRecord(
-            extra_row=extra_row,
-            detector_flagged=witness is not None,
-            lav_deviated=bool(np.max(np.abs(solution.theta_hat - theta_true)) > DEVIATION_TOL),
-            s_q_margin=margin,
-            near_boundary=abs(margin) < BOUNDARY_BAND,
-        ))
-    return records
+    margins = leverage_margins(h, [m] * len(h))
+    theta_hat = simplex(h, z)[0]
+    deviated = np.abs(theta_hat - np.reshape(thetas_true, (-1, n))).max(axis=1)
+    return [MCTrialRecord(extra_row=row, detector_flagged=witness is not None,
+                          lav_deviated=dev > DEVIATION_TOL, s_q_margin=margin,
+                          near_boundary=abs(margin) < BOUNDARY_BAND)
+            for row, (margin, witness), dev in zip(extra_rows, margins, deviated.tolist())]
 
 
 def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord]:

@@ -10,9 +10,9 @@ however many rows there are.  A fixed tiny shift of z keeps every other
 residual away from zero, the classical cure for cycling on degenerate
 vertices (Charnes, Econometrica 20(2), 1952).  ``simplex`` takes a stack
 of fits of one shape and pivots them in lockstep, so the leverage test
-(``leverage.py``) solves the per-row fits of many blocks in one call, and
-``solve_lav_many`` fits many models of one shape at once; ``solve_lav`` is
-a stack of one.
+(``leverage.py``) solves the per-row fits of many blocks in one call and
+the extra-row study (``experiments.py``) fits all its trials in one call;
+``solve_lav`` is a stack of one.
 ``lav_vertex_oracle`` solves the problem by brute-force enumeration of
 the square subsystems whose solutions are the candidate vertices; it
 exists to cross-check the simplex and is guarded to small sizes.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,8 +71,12 @@ class LavSolution:
     1e-8 * |z|_inf; the fit is a vertex, which satisfies N linearly
     independent rows exactly, so len(zero_set) >= N and those rows have
     rank N, up to that tolerance.
-    degenerate indicates the optimum is not unique (a flat face of the
-    objective), which happens mostly with too few measurements.
+    degenerate is set when some basis row has a dual |y_k| >= 1 - 1e-9 at
+    the optimum: releasing that row leaves the objective flat to first
+    order, so the optimum may not be unique.  It is a test on the final
+    basis, not on the objective values of other vertices, so it can
+    disagree with the flag of ``lav_vertex_oracle``: at a degenerate vertex
+    a row can price out although the step along it is zero.
     """
 
     theta_hat: np.ndarray
@@ -108,24 +111,10 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
 
 
 def solve_lav(model: MeasurementModel) -> LavSolution:
-    """Globally minimize the sum of absolute residuals: ``solve_lav_many`` of one model."""
-    return solve_lav_many([model])[0]
-
-
-def solve_lav_many(models: Sequence[MeasurementModel]) -> list[LavSolution]:
-    """``solve_lav`` of each of the given models of one shape, as one stack of the simplex.
-
-    A fit's pivots and result do not depend on its stack, so each solution
-    is the one its model gets alone.
-    """
-    for model in models:
-        validate_model(model)
-    if not models:
-        return []
-    theta, _, iterations, degenerate = simplex(np.stack([model.h for model in models]),
-                                               np.stack([model.z for model in models]))
-    return [_finish(model, t, i, d) for model, t, i, d in
-            zip(models, theta, iterations.tolist(), degenerate.tolist())]
+    """Globally minimize the sum of absolute residuals: ``simplex`` of one fit."""
+    validate_model(model)
+    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None])
+    return _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
 
 
 @functools.lru_cache(maxsize=64)

@@ -47,7 +47,9 @@ given to ``detect_many``: at these sizes a simplex call costs its numpy
 dispatch more than its arithmetic.  A block's bounds and a fit's pivots
 and result do not depend on their stack, so every report, with every
 flagged row's witness, is the one its model gets alone; ``detect_all`` is
-``detect_many`` of one model.
+``detect_many`` of one model.  ``leverage_margins`` fits one given row of
+each matrix of a stack, without blocks or dual bounds, as the extra-row
+study does for all its trials; ``leverage_margin`` is a stack of one.
 """
 
 from __future__ import annotations
@@ -336,27 +338,26 @@ def leverage_margin(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
     Positive margins mean the inequality holds strictly for some basis;
     values near zero sit on the boundary between the two classes.  A zero
     row has margin -inf and no witness.  This is ``leverage_margins`` of
-    one model.
+    one matrix.
     """
-    return leverage_margins([model], [j])[0]
+    _checked_row(model, j)
+    return leverage_margins(model.h[None], [j])[0]
 
 
-def leverage_margins(models: Sequence[MeasurementModel],
+def leverage_margins(h: np.ndarray,
                      rows: Sequence[int]) -> list[tuple[float, Optional[LeverageWitness]]]:
-    """``leverage_margin`` of row rows[k] of models[k], for models of one shape.
+    """``leverage_margin`` of row rows[k] of h[k], for a (T, M, N) stack of matrices.
 
-    The fits of all the nonzero rows run as stacks of the simplex, and a
-    fit's result does not depend on its stack.
+    Each matrix must have full column rank and each row must be one of its
+    rows; the caller checks both.  The fits of all the nonzero rows run as
+    stacks of the simplex, and a fit's result does not depend on its stack.
     """
-    for model, j in zip(models, rows):
-        _checked_row(model, j)
-    graded: list[tuple[float, Optional[LeverageWitness]]] = [(-np.inf, None)] * len(models)
+    rows = np.asarray(rows, dtype=np.intp)
+    graded: list[tuple[float, Optional[LeverageWitness]]] = [(-np.inf, None)] * rows.size
     # A zero row has no support and cannot dominate any direction: it gets no fit.
-    fit = np.array([k for k, (model, j) in enumerate(zip(models, rows)) if model.h[j].any()],
-                   dtype=np.intp)
+    fit = np.flatnonzero(h[np.arange(rows.size), rows].any(axis=1))
     if fit.size:
-        h = np.stack([models[k].h for k in fit])
-        tested, _ = _stacked_tests(h, np.arange(fit.size), np.asarray(rows, dtype=np.intp)[fit])
+        tested, _ = _stacked_tests(h, fit, rows[fit])
         for k, w in zip(fit.tolist(), tested):
             graded[k] = _graded(w)
     return graded

@@ -357,6 +357,34 @@ def test_malformed_input_exits_with_documented_code(argv, text, tmp_path, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
+PATH_CASES = [
+    pytest.param(["estimate", "{dir}"], id="estimate-directory"),
+    pytest.param(["build", "{dir}", "--model", "dc"], id="build-directory"),
+    pytest.param(["detect", "{model}", "--partitions", "{dir}"], id="detect-partitions-directory"),
+    pytest.param(["estimate", "{model}", "--output", "{dir}"], id="estimate-output-directory"),
+    pytest.param(["build", "threebus-dc", "--model", "dc", "--output", "{dir}"],
+                 id="build-output-directory"),
+    pytest.param(["reproduce", "mc", "--trials", "3", "--out", "{dir}"], id="mc-out-directory"),
+    pytest.param(["estimate", "{latin1}"], id="estimate-not-utf8"),
+    pytest.param(["build", "{latin1}", "--model", "dc"], id="build-not-utf8"),
+    pytest.param(["detect", "{model}", "--partitions", "{latin1}"], id="detect-partitions-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("argv", PATH_CASES)
+def test_unusable_path_exits_2(argv, tmp_path, capsys):
+    # A path that cannot be read or written, or a file that is not UTF-8,
+    # is a parse error like a malformed document.
+    model = tmp_path / "model.json"
+    lavse.save_model(lavse.fixture_model("threebus-dc"), model)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"labels": ["\u00e9"]}'.encode("latin-1"))
+    code = cli.main([a.format(dir=tmp_path, model=model, latin1=latin1) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):
     # Projection statistics need no column rank, unlike estimate and detect.
     mpath = tmp_path / "rank1.json"

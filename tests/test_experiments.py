@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lavse import MeasurementModel, experiments, fixture_model, lav, leverage
+from lavse import MeasurementModel, experiments, fixture_model, leverage
+from lavse.errors import DimensionMismatch, NonFinite
 from lavse.experiments import (
     DEVIATION_TOL,
     GROSS_ERROR,
@@ -187,7 +188,7 @@ class TestMonteCarlo:
                 return fit(h, z)
             return run
 
-        for module in (leverage, lav):
+        for module in (leverage, experiments):  # experiments runs the LAV fits itself
             monkeypatch.setattr(module, "simplex", counted(module))
 
         def bits(records):
@@ -200,13 +201,35 @@ class TestMonteCarlo:
         monkeypatch.setattr(experiments, "_MC_STACK", 20)  # stacks of 20, 20 and 10 trials
         assert bits(run_monte_carlo(50, 99)) == bits(alone)
         assert calls == [(module, size) for size in (20, 20, 10)
-                         for module in ("lavse.leverage", "lavse.lav")]
+                         for module in ("lavse.leverage", "lavse.experiments")]
         zero = (np.zeros(base.n), np.array([0.3, -1.2]))
         calls.clear()
         mixed = _trials(base, *zip(*draws[:7], zero, *draws[7:]))
-        assert calls == [("lavse.leverage", 50), ("lavse.lav", 51)]
+        assert calls == [("lavse.leverage", 50), ("lavse.experiments", 51)]
         assert bits(mixed) == bits(alone[:7] + [single_trial(base, *zero)] + alone[7:])
         assert mixed[7].s_q_margin == -math.inf and not mixed[7].detector_flagged
+
+    def test_trials_share_one_rank_check(self, monkeypatch):
+        # Appending a row cannot lower the column rank, so only the base
+        # matrix is checked: one SVD for the whole study, not one per trial.
+        svds = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+        run_monte_carlo(50, 99)
+        assert len(svds) == 1
+
+    @pytest.mark.parametrize("extra_row, theta, error", [
+        pytest.param(np.ones(3), np.zeros(2), DimensionMismatch, id="long-row"),
+        pytest.param(np.ones(1), np.zeros(2), DimensionMismatch, id="short-row"),
+        pytest.param(np.ones(2), np.zeros(3), DimensionMismatch, id="long-state"),
+        pytest.param(np.array([np.nan, 1.0]), np.zeros(2), NonFinite, id="nan-row"),
+        pytest.param(np.array([1.0, np.inf]), np.zeros(2), NonFinite, id="inf-row"),
+        pytest.param(np.ones(2), np.array([0.0, np.nan]), NonFinite, id="nan-state"),
+        pytest.param(np.zeros(2), np.array([np.inf, 0.0]), NonFinite, id="inf-state"),  # 0 * inf
+    ])
+    def test_bad_trial_inputs_rejected(self, extra_row, theta, error):
+        with pytest.raises(error):
+            single_trial(fixture_model("threebus-dc"), extra_row, theta)
 
     def test_agreement_smoke(self):
         result = reproduce_mc(trials=300, seed=7)

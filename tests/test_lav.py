@@ -209,19 +209,3 @@ def test_stack_gives_each_fit_its_solo_result():
             assert (pivots[f], degenerate[f]) == (alone[2][0], alone[3][0])
             if consistent[f]:
                 assert pivots[f] == 0
-
-
-def test_solve_lav_many_gives_each_model_its_solo_solution():
-    # One consistent z ends at its start basis while the others pivot.
-    rng = np.random.default_rng(3)
-    models = [MeasurementModel(THREE_BUS_H, rng.normal(size=7), tuple(f"r{i}" for i in range(7)))
-              for _ in range(5)]
-    models.insert(2, models[0].with_z(THREE_BUS_H @ np.array([0.3, -1.2])))
-    for model, sol in zip(models, lav.solve_lav_many(models)):
-        alone = solve_lav(model)
-        assert sol.theta_hat.tobytes() == alone.theta_hat.tobytes()
-        assert sol.residuals.tobytes() == alone.residuals.tobytes()
-        assert (sol.objective, sol.zero_set, sol.iterations, sol.degenerate) == \
-            (alone.objective, alone.zero_set, alone.iterations, alone.degenerate)
-    assert solve_lav(models[2]).iterations == 0
-    assert lav.solve_lav_many([]) == []

@@ -264,12 +264,16 @@ def test_grouped_detection_equals_per_block(monkeypatch, case, rows_per_stack):
             assert lam[b].tobytes() == leverage._dual_bounds(sub).tobytes()
 
 
-@pytest.mark.parametrize("k, seed", [(5, 0), (5, 1), (5, 2), (5, 3), (8, 0), (8, 1)])
-def test_gross_error_moves_fit_only_on_flagged_rows(k, seed):
+@pytest.mark.parametrize("source", [
+    *(pytest.param((k, seed), id=f"{k}-{seed}")
+      for k, seed in [(5, 0), (5, 1), (5, 2), (5, 3), (8, 0), (8, 1)]),
+    pytest.param("ieee14-dc", id="ieee14-dc"),  # the whole 14-bus model
+])
+def test_gross_error_moves_fit_only_on_flagged_rows(source):
     # The operational meaning of a verdict: a gross error on a leverage row
     # drags the LAV fit, one on a clean row is rejected; a boundary row may
     # do either.
-    model = noisy_mesh_model(k, seed)
+    model = fixture_model(source) if isinstance(source, str) else noisy_mesh_model(*source)
     verdicts = detect_all(model).verdicts
     base = solve_lav(model).theta_hat
     for j, verdict in enumerate(verdicts):

@@ -55,8 +55,8 @@ class TestMeasurementModel:
         assert validate_model(three_bus_model()).n == 2
 
     def test_rank_is_computed_once_per_model(self, monkeypatch):
-        # leverage_margin then solve_lav on one model (as each MC trial
-        # does) validate it twice; its h is read-only, so one SVD serves.
+        # leverage_margin then solve_lav on one model validate it twice;
+        # its h is read-only, so one SVD serves.
         svds = []
         real_svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
