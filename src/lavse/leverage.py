@@ -16,8 +16,7 @@ Each candidate basis of N-1 rows is a vertex of the LAV problem
 whose optimum is the smallest s/q over all bases (the LP view of Giloni and
 Padberg, SIAM J. Optim. 14(4), 2004).  Eliminating the coordinate of v with
 the largest |h_jc| turns it into an (M-1) x (N-1) LAV fit, which runs
-through the same simplex as ``solve_lav``; the fits of all rows have that
-one shape, so they run as one stack of the simplex.  The fit's N-1
+through the same simplex as ``solve_lav`` (``_row_tests``).  The fit's N-1
 exactly fitted rows are the witness basis and the fit itself gives v; s
 and q are recomputed over every row and graded by ``classify`` on the
 relative margin (q - s)/q, which does not change when H is multiplied by
@@ -44,12 +43,14 @@ other rows go to the simplex, in stacks of at most _BATCH_BYTES.
 Blocks of one shape are screened and fitted together, across the blocks
 of a model, the partitions of ``detect_partitioned`` and all the models
 given to ``detect_many``: at these sizes a simplex call costs its numpy
-dispatch more than its arithmetic.  A block's bounds and a fit's pivots
-and result do not depend on their stack, so every report, with every
-flagged row's witness, is the one its model gets alone; ``detect_all`` is
-``detect_many`` of one model.  ``leverage_margins`` fits one given row of
-each matrix of a stack, without blocks or dual bounds, as the extra-row
-study does for all its trials; ``leverage_margin`` is a stack of one.
+dispatch more than its arithmetic.  ``detect_many`` builds each fitted
+row's witness once, in its model's indices, from the arrays that
+``_row_tests`` returns.  A block's bounds and a fit's pivots and result do
+not depend on their stack, so every report, witnesses included, is the
+one its model gets alone; ``detect_all`` is ``detect_many`` of one model.
+``leverage_margins`` fits one given row of each matrix of a stack, without
+blocks or dual bounds, as the extra-row study does for all its trials;
+``leverage_margin`` is a stack of one.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ class LeverageReport:
     get no fit; combos_examined counts the simplex pivots summed over the
     fits of the other rows, and combos_skipped_degenerate is always 0.  The
     last two keep the names of the basis-scan counters they replace.
+    witnesses holds the flagged rows' witnesses, by increasing row index.
     """
 
     labels: tuple[str, ...]
@@ -219,55 +221,47 @@ def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[Leverag
     return witness.margin(), None if classify(witness) == CLEAN else witness
 
 
-def _row_tests(h: np.ndarray, rows: np.ndarray) -> tuple[list[LeverageWitness], np.ndarray]:
-    """Witness of the best basis of each given nonzero row, and each fit's simplex pivots.
+def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fit row rows[i] of h[fit[i]] for every i, in stacks of at most _BATCH_BYTES.
 
-    h is (F, M, N), one matrix per fit, and fit f tests row rows[f] of h[f].
-    The best basis of row j is the vertex of min sum_{i != j} |h_i . v|
-    subject to h_j . v = 1.  With c the largest |h_jc| (partial pivoting),
-    v_c = (1 - sum_{k != c} h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with
-    r_i = h_ic / h_jc, g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of
-    r on g.  g has full column rank whenever h does, since g w = 0 forces
-    h v = 0.  The fit's w, completed by v_c and scaled to unit length, is
-    the null vector of the witness basis.  Every fit's g is (M-1) x (N-1),
-    so they all run as one stack through ``simplex``.
+    Returns each fit's unit null vector v, both sides s and q of the
+    inequality, its N-1 basis rows (indices into h's rows) and its pivots.
+    h is (K, M, N) and each row must be nonzero.  The best basis of row j
+    is the vertex of min sum_{i != j} |h_i . v| subject to h_j . v = 1.
+    With c the largest |h_jc| (partial pivoting), v_c = (1 - sum_{k != c}
+    h_jk v_k) / h_jc, so h_i . v = r_i - g_i . w with r_i = h_ic / h_jc,
+    g_i = r_i h_j,-c - h_i,-c and w = v_-c: a LAV fit of r on g.  g has
+    full column rank whenever h does, since g w = 0 forces h v = 0.  The
+    fit's w, completed by v_c and scaled to unit length, is v.  Every fit's
+    g is (M-1) x (N-1), so the fits run as stacks of ``simplex``.
     """
-    fits, m, n = h.shape
-    f = np.arange(fits)
-    hj = h[f, rows]
-    c = np.argmax(np.abs(hj), axis=1)
-    others = np.arange(m - 1) + (np.arange(m - 1) >= rows[:, None])  # every row but j
-    rest = np.arange(n - 1) + (np.arange(n - 1) >= c[:, None])  # every column but c
-    lead = hj[f, c]
-    r = h[f[:, None], others, c[:, None]] / lead[:, None]
-    hj_rest = hj[f[:, None], rest]
-    g = r[:, :, None] * hj_rest[:, None] - h[f[:, None, None], others[:, :, None], rest[:, None]]
-    w, tight, pivots, _ = simplex(g, r)
-    v = np.empty((fits, n))
-    v[f[:, None], rest] = w
-    v[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
-    v = oriented(v / np.sqrt(v[:, None] @ v[..., None])[:, 0])
-    proj = np.abs(h @ v[..., None])[..., 0]
-    q = proj[f, rows]
-    s = proj.sum(axis=1) - q
-    bases = others[f[:, None], tight].tolist()
-    witnesses = [LeverageWitness(row_index=j, basis=tuple(b), v=vj, s=sj, q=qj)
-                 for j, b, vj, sj, qj in zip(rows.tolist(), bases, v, s.tolist(), q.tolist())]
-    return witnesses, pivots
-
-
-def _stacked_tests(h: np.ndarray, fit: np.ndarray,
-                   rows: np.ndarray) -> tuple[list[LeverageWitness], list[int]]:
-    """``_row_tests`` of row rows[i] of h[fit[i]] for every i, in stacks of at most _BATCH_BYTES."""
-    batch = max(1, _BATCH_BYTES // (h.itemsize * h[0].size))  # fits per stack
-    witnesses: list[LeverageWitness] = []
-    pivots: list[int] = []
-    for start in range(0, rows.size, batch):
+    fits, m, n = rows.size, h.shape[1], h.shape[2]
+    v, s, q = np.empty((fits, n)), np.empty(fits), np.empty(fits)
+    basis = np.empty((fits, n - 1), dtype=np.intp)
+    pivots = np.empty(fits, dtype=np.intp)
+    batch = max(1, _BATCH_BYTES // (h.itemsize * m * n))  # fits per stack
+    for start in range(0, fits, batch):
         part = slice(start, start + batch)
-        tested, spent = _row_tests(h[fit[part]], rows[part])
-        witnesses += tested
-        pivots += spent.tolist()
-    return witnesses, pivots
+        hs, j = h[fit[part]], rows[part]  # this stack's matrices and rows
+        f = np.arange(j.size)
+        hj = hs[f, j]
+        c = np.argmax(np.abs(hj), axis=1)
+        others = np.arange(m - 1) + (np.arange(m - 1) >= j[:, None])  # every row but j
+        rest = np.arange(n - 1) + (np.arange(n - 1) >= c[:, None])  # every column but c
+        lead = hj[f, c]
+        r = hs[f[:, None], others, c[:, None]] / lead[:, None]
+        hj_rest = hj[f[:, None], rest]
+        g = r[..., None] * hj_rest[:, None] - hs[f[:, None, None], others[..., None], rest[:, None]]
+        w, tight, pivots[part], _ = simplex(g, r)
+        vp = np.empty((j.size, n))
+        vp[f[:, None], rest] = w
+        vp[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+        v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
+        proj = np.abs(hs @ vp[..., None])[..., 0]
+        q[part] = proj[f, j]
+        s[part] = proj.sum(axis=1) - q[part]
+        basis[part] = others[f[:, None], tight]
+    return v, s, q, basis, pivots
 
 
 def _dual_bounds(h: np.ndarray) -> np.ndarray:
@@ -356,10 +350,10 @@ def leverage_margins(h: np.ndarray,
     graded: list[tuple[float, Optional[LeverageWitness]]] = [(-np.inf, None)] * rows.size
     # A zero row has no support and cannot dominate any direction: it gets no fit.
     fit = np.flatnonzero(h[np.arange(rows.size), rows].any(axis=1))
-    if fit.size:
-        tested, _ = _stacked_tests(h, fit, rows[fit])
-        for k, w in zip(fit.tolist(), tested):
-            graded[k] = _graded(w)
+    v, s, q, basis, _ = _row_tests(h, fit, rows[fit])
+    for k, j, b, vk, sk, qk in zip(fit.tolist(), rows[fit].tolist(), basis.tolist(), v,
+                                   s.tolist(), q.tolist()):
+        graded[k] = _graded(LeverageWitness(row_index=j, basis=tuple(b), v=vk, s=sk, q=qk))
     return graded
 
 
@@ -442,8 +436,7 @@ def detect_many(models: Sequence[MeasurementModel]) -> list[LeverageReport]:
     groups: dict[tuple[int, int], list[int]] = {}  # block shape -> its blocks
     for b, (_, rows, cols) in enumerate(blocks):
         groups.setdefault((len(rows), len(cols)), []).append(b)
-    found: list[dict[int, LeverageWitness]] = [{} for _ in blocks]
-    verdicts = [[CLEAN] * model.m for model in models]
+    fitted: list[list[Optional[LeverageWitness]]] = [[None] * model.m for model in models]
     pivots = [0] * len(models)
     certified = [0] * len(models)
     for group in groups.values():
@@ -452,22 +445,18 @@ def detect_many(models: Sequence[MeasurementModel]) -> list[LeverageReport]:
         fit, local = np.nonzero(~(_dual_bounds(subs) >= _CERTIFY))  # rows left to fit
         for b, left in zip(group, np.bincount(fit, minlength=len(group)).tolist()):
             certified[blocks[b][0]] += subs.shape[1] - left
-        tested, spent = _stacked_tests(subs, fit, local)
-        for i, w, p in zip(fit.tolist(), tested, spent):
-            k, rows, cols = blocks[group[i]]
+        v, s, q, basis, spent = _row_tests(subs, fit, local)
+        for f, j, tight, vf, sf, qf, p in zip(fit.tolist(), local.tolist(), basis.tolist(), v,
+                                              s.tolist(), q.tolist(), spent.tolist()):
+            k, rows, cols = blocks[group[f]]
             pivots[k] += p
-            j = rows[w.row_index]
-            verdicts[k][j] = classify(w)
-            if verdicts[k][j] != CLEAN:
-                v_full = np.zeros(models[k].n)
-                v_full[cols] = w.v
-                found[group[i]][j] = LeverageWitness(row_index=j,
-                                                      basis=tuple(rows[t] for t in w.basis),
-                                                      v=v_full, s=w.s, q=w.q)
-    witnesses: list[dict[int, LeverageWitness]] = [{} for _ in models]
-    for (k, _, _), block_found in zip(blocks, found):  # block by block, as each model alone
-        witnesses[k].update(block_found)
-    return [LeverageReport(labels=model.labels, verdicts=verdicts[k], witnesses=witnesses[k],
+            v_full = np.zeros(models[k].n)
+            v_full[cols] = vf
+            fitted[k][rows[j]] = LeverageWitness(row_index=rows[j],
+                                                 basis=tuple(rows[i] for i in tight),
+                                                 v=v_full, s=sf, q=qf)
+    return [LeverageReport(labels=model.labels, verdicts=[classify(w) for w in fitted[k]],
+                           witnesses={w.row_index: w for w in fitted[k] if classify(w) != CLEAN},
                            combos_examined=pivots[k], rows_certified=certified[k])
             for k, model in enumerate(models)]
 

@@ -273,6 +273,8 @@ def model_from_dict(doc: dict) -> MeasurementModel:
             true_states=None if doc.get("true_states") is None else np.array(doc["true_states"], dtype=float),
             state_labels=None if doc.get("state_labels") is None else tuple(doc["state_labels"]),
         )
+    except OverflowError as err:  # an integer beyond float range
+        raise NonFinite(f"model entries must be finite: {err}") from None
     except (TypeError, ValueError) as err:
         if isinstance(err, (DimensionMismatch, InvalidArgument, NonFinite)):
             raise

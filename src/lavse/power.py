@@ -23,6 +23,7 @@ Bundled fixtures: ``threebus-dc``, ``threebus-pmu`` and ``ieee14-dc``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -110,8 +111,10 @@ class NetworkModel:
                 raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} references unknown bus")
             if ln.from_bus == ln.to_bus:
                 raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} joins a bus to itself")
-            if not ln.x > 0:
-                raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} needs x > 0")
+            if not (math.isfinite(ln.x) and ln.x > 0):
+                raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} needs a finite x > 0")
+            if not math.isfinite(ln.r):
+                raise InvalidArgument(f"line {ln.from_bus}-{ln.to_bus} needs a finite r")
             pair = _pair(ln.from_bus, ln.to_bus)
             lines_per_pair[pair] = lines_per_pair.get(pair, 0) + 1
         labels = [spec.label for spec in self.measurements]
@@ -312,6 +315,8 @@ def network_from_dict(doc: dict) -> NetworkModel:
             lines=lines,
             measurements=measurements,
         )
+    except OverflowError as err:  # an integer x or r beyond float range
+        raise InvalidArgument(f"line x and r must be finite: {err}") from None
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, InvalidArgument):
             raise

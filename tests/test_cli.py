@@ -273,6 +273,8 @@ BAD_DOCUMENTS = {
     "scalar": "5",
     "no-fields": "{}",
     "nan": '{"labels": ["a", "b"], "H": [[1, 0], [0, NaN]], "z": [0, 0]}',
+    "h-huge-int": '{"labels": ["a", "b"], "H": [[1, 0], [0, 1%s]], "z": [0, 0]}' % ("0" * 400),
+    "z-huge-int": '{"labels": ["a", "b"], "H": [[1, 0], [0, 1]], "z": [0, -1%s]}' % ("0" * 400),
     "ragged": '{"labels": ["a", "b"], "H": [[1, 0], [1]], "z": [0, 0]}',
     "rank-deficient": '{"labels": ["a", "b"], "H": [[1, 1], [2, 2]], "z": [0, 0]}',
 }
@@ -311,6 +313,10 @@ BAD_NETWORKS = {
     "x-null": _network(add_lines=[{"from": 1, "to": 3, "x": None}]),
     "x-nan": _network(add_lines=[{"from": 1, "to": 3, "x": float("nan")}]),
     "x-zero": _network(add_lines=[{"from": 1, "to": 3, "x": 0.0}]),
+    "x-inf": _network(add_lines=[{"from": 1, "to": 3, "x": float("inf")}]),
+    "r-inf": _network(add_lines=[{"from": 1, "to": 3, "x": 0.1, "r": float("inf")}]),
+    "x-huge-int": _network(add_lines=[{"from": 1, "to": 3, "x": 10 ** 400}]),
+    "r-huge-int": _network(add_lines=[{"from": 1, "to": 3, "x": 0.1, "r": -10 ** 400}]),
     "line-fractional-bus": _network(add_lines=[{"from": 1.9, "to": 3, "x": 0.1}]),
     "line-infinite-bus": _network(add_lines=[{"from": 1, "to": float("inf"), "x": 0.1}]),
     "injection-fractional-bus": _network(
@@ -355,6 +361,26 @@ def test_malformed_input_exits_with_documented_code(argv, text, tmp_path, capsys
     # build runs no solver and no reproduction, so it fails only on its input.
     assert code in ({2, 3} if argv[0] == "build" else {2, 3, 4, 5})
     assert "Traceback" not in capsys.readouterr().err
+
+
+NON_FINITE_CASES = (
+    [pytest.param([cmd, "{doc}"], BAD_DOCUMENTS[name], id=f"{cmd}-{name}")
+     for cmd in ("estimate", "detect", "ps") for name in ("nan", "h-huge-int", "z-huge-int")]
+    + [pytest.param(["build", "{doc}", "--model", kind], BAD_NETWORKS[name],
+                    id=f"build-{kind}-{name}")
+       for kind in ("dc", "pmu")
+       for name in ("x-nan", "x-inf", "r-inf", "x-huge-int", "r-huge-int")]
+)
+
+
+@pytest.mark.parametrize("argv,text", NON_FINITE_CASES)
+def test_non_finite_number_exits_3(argv, text, tmp_path, capsys):
+    # An integer beyond float range is rejected like NaN or 1e400: exit 3
+    # with one error line.
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert cli.main([a.format(doc=doc) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 PATH_CASES = [

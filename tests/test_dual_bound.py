@@ -24,16 +24,13 @@ from lavse.leverage import (
     LEVERAGE,
     _CERTIFY,
     _dual_bounds,
-    _row_tests,
     _support_components,
     classify,
 )
 
-from test_meshes import _bench_inputs, mesh_model
+from test_meshes import _bench_inputs, mesh_model, row_witnesses
 from test_model import THREE_BUS_H
 from test_properties import SETTINGS, integer_models
-
-STACK = 32  # rows per exact fit, to bound memory on the 10x10 mesh
 
 
 def _slack(lam):
@@ -52,11 +49,7 @@ def assert_sound(model):
     for rows, cols in _support_components(model.h):
         sub = model.h[np.ix_(rows, cols)]
         lam = _dual_bounds(sub)
-        exact = []
-        for start in range(0, len(rows), STACK):
-            part = np.arange(start, min(start + STACK, len(rows)))
-            exact += _row_tests(np.broadcast_to(sub, (part.size,) + sub.shape), part)[0]
-        for j, w in enumerate(exact):
+        for j, w in enumerate(row_witnesses(sub, np.arange(len(rows)))):
             if lam[j] >= _CERTIFY:
                 assert classify(w) == CLEAN, model.labels[rows[j]]
             if np.isfinite(lam[j]):

@@ -27,7 +27,7 @@ from lavse import (
 )
 from lavse.experiments import ieee14_partitions
 from lavse.lav import simplex
-from lavse.leverage import _support_components, classify, detect_many
+from lavse.leverage import LeverageWitness, _support_components, classify, detect_many
 from lavse.power import Line, MeasurementSpec, NetworkModel, build_dc_model
 
 
@@ -41,6 +41,14 @@ def mesh_model(k, seed, injection_step=2):
     meas += [MeasurementSpec("pinj", f"P{b}", bus=b) for b in buses[::injection_step]]
     net = NetworkModel(buses, 1, lines, meas)
     return build_dc_model(net, states=rng.normal(0.0, 0.1, size=k * k - 1))
+
+
+def row_witnesses(h, rows):
+    """The witness of each given nonzero row of the matrix h, from ``_row_tests``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    v, s, q, basis, _ = leverage._row_tests(h[None], np.zeros(rows.size, dtype=np.intp), rows)
+    return [LeverageWitness(row_index=j, basis=tuple(b), v=vj, s=sj, q=qj)
+            for j, b, vj, sj, qj in zip(rows.tolist(), basis.tolist(), v, s.tolist(), q.tolist())]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -122,12 +130,11 @@ def test_block_rows_equal_batch_of_one(k, seed):
     # solves its row alone.  On a one-block model both fit the same system.
     model = mesh_model(k, seed)
     report = detect_all(model)
-    stacked, _ = leverage._row_tests(np.broadcast_to(model.h, (model.m,) + model.h.shape),
-                                     np.arange(model.m))
+    stacked = row_witnesses(model.h, np.arange(model.m))
     assert sum(v != "clean" for v in report.verdicts) > 0
     for j in range(model.m):
         margin, witness = leverage_margin(model, j)
-        alone = leverage._row_tests(model.h[None], np.array([j]))[0][0]
+        alone = row_witnesses(model.h, [j])[0]
         for w in (stacked[j], report.witnesses.get(j)):
             if w is None:
                 assert witness is None and report.verdicts[j] == "clean"
@@ -262,6 +269,19 @@ def test_grouped_detection_equals_per_block(monkeypatch, case, rows_per_stack):
         lam = leverage._dual_bounds(np.stack(group))
         for b, sub in enumerate(group):
             assert lam[b].tobytes() == leverage._dual_bounds(sub).tobytes()
+
+
+@pytest.mark.parametrize("together", [False, True], ids=["alone", "with-mesh"])
+def test_witnesses_iterate_by_row_index(together):
+    # The whole 14-bus model has two support blocks.  Its witnesses come in
+    # increasing row index whatever shares its stacks, and each is bitwise
+    # the one the model gets alone and the one its block gets on its own.
+    ieee14 = fixture_model("ieee14-dc")
+    assert len(_support_components(ieee14.h)) == 2
+    alone = detect_all(ieee14)
+    report = detect_many([ieee14, mesh_model(5, 3)])[0] if together else alone
+    assert list(report.witnesses) == sorted(report.witnesses)
+    assert _fields(report) == _fields(alone) == _per_block(ieee14)[0]
 
 
 @pytest.mark.parametrize("source", [

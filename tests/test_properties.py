@@ -20,7 +20,9 @@ from lavse import (
     leverage,
     solve_lav,
 )
-from lavse.leverage import _row_tests, _support_components, classify
+from lavse.leverage import _support_components, classify
+
+from test_meshes import row_witnesses
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -108,8 +110,7 @@ def test_stacked_rows_equal_batch_of_one(model):
     # simplex; leverage_margin fits its row alone.
     report = detect_all(model)
     one_block = len(_support_components(model.h)) == 1 and model.h.any(axis=1).all()
-    stacked = _row_tests(np.broadcast_to(model.h, (model.m,) + model.h.shape),
-                         np.arange(model.m))[0] if one_block else []
+    stacked = row_witnesses(model.h, np.arange(model.m)) if one_block else []
     for j in range(model.m):
         margin, witness = leverage_margin(model, j)
         assert report.verdicts[j] == classify(witness)
@@ -118,7 +119,7 @@ def test_stacked_rows_equal_batch_of_one(model):
         if witness is not None:
             assert abs(batched.margin() - margin) <= 1e-12
         if one_block:  # then both fit the same system for row j
-            alone = _row_tests(model.h[None], np.array([j]))[0][0]
+            alone = row_witnesses(model.h, [j])[0]
             assert _same_witness(stacked[j], alone)
             assert batched is None or _same_witness(batched, alone)
 
