@@ -6,13 +6,15 @@ for a full-column-rank H, has a minimizer at a vertex: N linearly
 independent rows fitted exactly.  ``simplex`` walks from vertex to vertex
 with those N rows as its basis (the LAV simplex of Barrodale and Roberts,
 SIAM J. Numer. Anal. 10(5), 1973), so its pivots work on an N x N inverse
-however many rows there are.  A fixed tiny shift of z keeps every other
-residual away from zero, the classical cure for cycling on degenerate
-vertices (Charnes, Econometrica 20(2), 1952).  ``simplex`` takes a stack
-of fits of one shape and pivots them in lockstep, so the leverage test
-(``leverage.py``) solves the per-row fits of many blocks in one call and
-the extra-row study (``experiments.py``) fits all its trials in one call;
-``solve_lav`` is a stack of one.
+however many rows there are.  Each pivot updates that inverse by rank one,
+and a fit inverts afresh only when its basis rows, which a vertex fits
+exactly, show a residual past rounding.  A fixed tiny shift of z keeps
+every other residual away from zero, the classical cure for cycling on
+degenerate vertices (Charnes, Econometrica 20(2), 1952).  ``simplex``
+takes a stack of fits of one shape and pivots them in lockstep, so the
+leverage test (``leverage.py``) solves the per-row fits of many blocks in
+one call and the extra-row study (``experiments.py``) fits all its trials
+in one call; ``solve_lav`` is a stack of one.
 ``lav_vertex_oracle`` solves the problem by brute-force enumeration of
 the square subsystems whose solutions are the candidate vertices; it
 exists to cross-check the simplex and is guarded to small sizes.
@@ -42,16 +44,12 @@ _OPT_TOL = 1e-9
 # Breakpoints with |h_i . d| below _PIVOT_TOL * max |h . d| never enter the
 # basis, which keeps it well conditioned.
 _PIVOT_TOL = 1e-11
-# The start basis fitting every row to within _CONSISTENT_TOL * |z|_inf ends
-# the fit at once.
+# A residual within _CONSISTENT_TOL * |z|_inf fits its row.  A start basis that
+# fits every row ends the fit; a basis row it does not fit re-inverts the basis.
 _CONSISTENT_TOL = 1e-12
 # Largest shift of z per row, relative to |z|_inf, so the fit scales with z.
 # It is drawn from a fixed seed, so every fit is reproducible.
 _SHIFT = 1e-9
-# Pivots between recomputations of the basis inverse.  Rank-one updates in
-# between cost O(N^2) per pivot instead of a fresh O(N^3) factorization;
-# recomputing bounds their drift.
-_REFACTOR_EVERY = 20
 # Rows with |r_i| <= _ZERO * |z|_inf form the zero set, so it scales with z.
 _ZERO = 1e-8
 # A fit of M rows and N columns raises MaxIterations after
@@ -168,10 +166,10 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     fixed pseudo-random amount of at most _SHIFT * |z|_inf per row,
     so no residual outside the basis is ever zero, every pivot lowers the
     objective and the method cannot cycle.  Theta is then recomputed from
-    the unshifted z on the final basis.  The basis inverse takes a rank-one
-    update per pivot and is recomputed every _REFACTOR_EVERY pivots; the
-    residuals move by the step of each pivot and are recomputed with the
-    inverse.
+    the unshifted z on the final basis.  Each pivot takes a rank-one update
+    of the basis inverse and moves the residuals by its step.  A fit
+    recomputes both before its first pivot and whenever a basis row shows
+    a residual above _CONSISTENT_TOL * |z|_inf: the drift of those updates.
 
     The fits pivot in lockstep, each on its own basis and with the
     arithmetic it would have alone, so a fit takes the same pivots in any
@@ -198,16 +196,19 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         slot, lead = np.arange(live.size), first[:live.size]
         stack, basis = (h, at) if live.size == fits else (h[live], final[live] + lead)
         stacked = stack.reshape(live.size * m, n)
-        b_inv = np.linalg.inv(stacked[basis])
         shifted = z[live] + _shift(m) * scale[live, None]
+        bound = _CONSISTENT_TOL * scale[live, None]
+        # No fit has an inverse yet: an infinite residual on each basis row asks for one.
+        b_inv, residual = np.empty((live.size, n, n)), np.full_like(shifted, np.inf)
         # Rows off the line search divide by a zero a; their ratio is discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
             while live.size:
-                if iterations % _REFACTOR_EVERY == 0:
-                    if iterations:
-                        b_inv = np.linalg.inv(stacked[basis])
-                    vertex = b_inv @ shifted.reshape(-1)[basis][..., None]
-                    residual = shifted - (stack @ vertex)[..., 0]
+                drift = np.abs(residual.take(basis)) > bound  # the vertex fits its basis rows
+                stale = np.logical_or.reduce(drift, axis=1).nonzero()[0]
+                if stale.size:
+                    b_inv[stale] = np.linalg.inv(stacked[basis[stale]])
+                    vertex = b_inv[stale] @ shifted.reshape(-1)[basis[stale]][..., None]
+                    residual[stale] = shifted[stale] - (stack[stale] @ vertex)[..., 0]
                 sign = np.sign(residual)
                 sign.reshape(-1)[basis] = 0.0
                 y = ((sign[:, None] @ stack) @ b_inv)[:, 0]  # the duals, negated
@@ -223,8 +224,8 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
                         break
                     keep = top[:, 0] > 1.0 + _OPT_TOL
                     live, basis = live[keep], basis[keep] - lead[keep]
-                    stack, b_inv, shifted, residual, sign, y, size, top = (
-                        x[keep] for x in (stack, b_inv, shifted, residual, sign, y, size, top))
+                    stack, b_inv, shifted, bound, residual, sign, y, size, top = (x[keep] for x in (
+                        stack, b_inv, shifted, bound, residual, sign, y, size, top))
                     slot, lead = slot[:live.size], first[:live.size]
                     stacked = stack.reshape(live.size * m, n)
                     basis += lead
@@ -253,12 +254,11 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
                 entering = order[slot, (gain < top - 1.0).argmin(axis=1)]
                 basis[slot, k] = entering
                 iterations += 1
-                if iterations % _REFACTOR_EVERY:  # else the next pass recomputes both
-                    residual -= ratio.reshape(-1)[entering][:, None] * a2
-                    w = (stacked[entering][:, None] @ b_inv)[:, 0]
-                    pivot = column / w[slot, k][:, None]
-                    b_inv -= np.einsum("fi,fj->fij", pivot, w)  # the outer product, in one pass
-                    b_inv[slot, :, k] = pivot
+                residual -= ratio.reshape(-1)[entering][:, None] * a2
+                w = (stacked[entering][:, None] @ b_inv)[:, 0]
+                pivot = column / w[slot, k][:, None]
+                b_inv -= np.einsum("fi,fj->fij", pivot, w)  # the outer product, in one pass
+                b_inv[slot, :, k] = pivot
         at = final + first
         theta = np.linalg.solve(rows[at], zs[at][..., None])
     except np.linalg.LinAlgError as err:

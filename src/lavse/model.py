@@ -253,6 +253,30 @@ def model_to_dict(model: MeasurementModel) -> dict:
     return doc
 
 
+def _numbers(doc: dict, key: str, flat: bool = True) -> np.ndarray:
+    """A field of JSON numbers: a flat array, or any array when not flat.
+
+    numpy infers the dtype, so a quoted number stays a string and fails the
+    check.  An integer beyond int64 makes an object array; converting it
+    raises OverflowError when the integer is beyond float range too.
+    """
+    a = np.array(doc[key])
+    if a.dtype == object and all(isinstance(x, (int, float)) for x in a.flat):
+        a = a.astype(float)
+    if a.dtype.kind not in "iuf" or (flat and a.ndim != 1):
+        shape = "a flat array" if flat else "an array of arrays"
+        raise ParseError(f"field {key!r} must be {shape} of numbers")
+    return a
+
+
+def _strings(doc: dict, key: str) -> tuple[str, ...]:
+    """A field that must be an array of JSON strings."""
+    names = doc[key]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ParseError(f"field {key!r} must be an array of strings")
+    return tuple(names)
+
+
 def model_from_dict(doc: dict) -> MeasurementModel:
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
@@ -267,16 +291,16 @@ def model_from_dict(doc: dict) -> MeasurementModel:
         raise ParseError("field 'H' has ragged rows")
     try:
         return MeasurementModel(
-            h=np.array(h_rows, dtype=float),
-            z=np.array(doc["z"], dtype=float),
-            labels=tuple(doc["labels"]),
-            true_states=None if doc.get("true_states") is None else np.array(doc["true_states"], dtype=float),
-            state_labels=None if doc.get("state_labels") is None else tuple(doc["state_labels"]),
+            h=_numbers(doc, "H", flat=False),
+            z=_numbers(doc, "z"),
+            labels=_strings(doc, "labels"),
+            true_states=None if doc.get("true_states") is None else _numbers(doc, "true_states"),
+            state_labels=None if doc.get("state_labels") is None else _strings(doc, "state_labels"),
         )
     except OverflowError as err:  # an integer beyond float range
         raise NonFinite(f"model entries must be finite: {err}") from None
     except (TypeError, ValueError) as err:
-        if isinstance(err, (DimensionMismatch, InvalidArgument, NonFinite)):
+        if isinstance(err, (DimensionMismatch, InvalidArgument, NonFinite, ParseError)):
             raise
         raise ParseError(f"bad model document: {err}") from None
 

@@ -282,11 +282,20 @@ def network_to_dict(net: NetworkModel) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A line's x or r from a network document: a JSON number, not a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bus_id(value) -> int:
-    """A bus id from a network document: an integral number, never a boolean."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A bus id from a network document: an integral JSON number, not a string or a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"bus id must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def network_from_dict(doc: dict) -> NetworkModel:
@@ -296,8 +305,8 @@ def network_from_dict(doc: dict) -> NetworkModel:
         if key not in doc:
             raise ParseError(f"network document missing field {key!r}")
     try:
-        lines = [Line(_bus_id(d["from"]), _bus_id(d["to"]), float(d["x"]),
-                      float(d.get("r", 0.0)))
+        lines = [Line(_bus_id(d["from"]), _bus_id(d["to"]), _number(d["x"]),
+                      _number(d.get("r", 0.0)))
                  for d in doc["lines"]]
         measurements = [
             MeasurementSpec(

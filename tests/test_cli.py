@@ -80,13 +80,16 @@ class TestEstimate:
         }))
         assert cli.main(["estimate", str(path)]) == 3
 
-    def test_singular_simplex_basis_exit_5(self, three_bus_file, monkeypatch, capsys):
+    def test_singular_simplex_basis_exit_5(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(lavse.lav, "_REFACTOR_EVERY", 1)
+        # A gross error leaves z inconsistent, so the fit inverts its start basis.
+        model = lavse.fixture_model("threebus-dc", states=np.array([0.1, -0.2]))
+        path = tmp_path / "gross.json"
+        lavse.save_model(model.with_z(model.z + np.eye(model.m)[0]), path)
         monkeypatch.setattr(lavse.lav.np.linalg, "inv", singular)
-        assert cli.main(["estimate", str(three_bus_file)]) == 5
+        assert cli.main(["estimate", str(path)]) == 5
         assert "singular" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
@@ -277,6 +280,12 @@ BAD_DOCUMENTS = {
     "z-huge-int": '{"labels": ["a", "b"], "H": [[1, 0], [0, 1]], "z": [0, -1%s]}' % ("0" * 400),
     "ragged": '{"labels": ["a", "b"], "H": [[1, 0], [1]], "z": [0, 0]}',
     "rank-deficient": '{"labels": ["a", "b"], "H": [[1, 1], [2, 2]], "z": [0, 0]}',
+    "h-quoted": '{"labels": ["a", "b", "c"], "H": [["1", "0"], ["0", "1"], ["1", "1"]], "z": [1, 2, 3]}',
+    "z-quoted": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [1, "2", 3]}',
+    "true-states-quoted": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [1, 2, 3], '
+                          '"true_states": ["1", 2]}',
+    "labels-string": '{"labels": "abc", "H": [[1, 0], [0, 1], [1, 1]], "z": [1, 2, 3]}',
+    "z-nested": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [[1, 2, 3]]}',
 }
 BAD_PARTITIONS = {
     "empty": "",
@@ -310,6 +319,9 @@ BAD_NETWORKS = {
     "lines-not-array": _network(lines=5),
     "line-not-object": _network(lines=[5]),
     "x-string": _network(add_lines=[{"from": 1, "to": 3, "x": "abc"}]),
+    "x-quoted": _network(add_lines=[{"from": 1, "to": 3, "x": "0.1"}]),
+    "r-quoted": _network(add_lines=[{"from": 1, "to": 3, "x": 0.1, "r": "0"}]),
+    "bus-quoted": _network(add_lines=[{"from": 1, "to": "3", "x": 0.1}]),
     "x-null": _network(add_lines=[{"from": 1, "to": 3, "x": None}]),
     "x-nan": _network(add_lines=[{"from": 1, "to": 3, "x": float("nan")}]),
     "x-zero": _network(add_lines=[{"from": 1, "to": 3, "x": 0.0}]),
@@ -381,6 +393,26 @@ def test_non_finite_number_exits_3(argv, text, tmp_path, capsys):
     doc.write_text(text)
     assert cli.main([a.format(doc=doc) for a in argv]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+QUOTED_CASES = (
+    [pytest.param([cmd, "{doc}"], BAD_DOCUMENTS[name], id=f"{cmd}-{name}")
+     for cmd in ("estimate", "detect", "ps")
+     for name in ("h-quoted", "z-quoted", "true-states-quoted", "labels-string", "z-nested")]
+    + [pytest.param(["build", "{doc}", "--model", kind], BAD_NETWORKS[name],
+                    id=f"build-{kind}-{name}")
+       for kind in ("dc", "pmu") for name in ("x-quoted", "r-quoted", "bus-quoted")]
+)
+
+
+@pytest.mark.parametrize("argv,text", QUOTED_CASES)
+def test_wrong_json_type_exits_2(argv, text, tmp_path, capsys):
+    # Numbers must be JSON numbers, labels an array of strings and z a flat
+    # array: a quoted number or a reshaped field is a parse error.
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert cli.main([a.format(doc=doc) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 PATH_CASES = [

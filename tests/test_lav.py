@@ -188,24 +188,42 @@ def test_theorem_zero_set_property():
         assert len(sol.zero_set) >= n
 
 
-def test_stack_gives_each_fit_its_solo_result():
+def test_stack_gives_each_fit_its_solo_result(monkeypatch):
     # The fits of a stack leave it at different pivots, some at the start
-    # (a consistent z); each must end exactly as it does alone.
-    rng = np.random.default_rng(8)
-    for _ in range(60):
-        fits = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(n, 4 * n + 2))
-        h = rng.integers(-3, 4, size=(fits, m, n)).astype(float)
-        h[:, :n] += 5 * np.eye(n)  # full column rank
-        z = rng.normal(size=(fits, m))
-        consistent = rng.random(fits) < 0.3
-        z[consistent] = (h[consistent] @ rng.normal(size=(n, 1)))[..., 0]
-        theta, basis, pivots, degenerate = simplex(h, z)
-        for f in range(fits):
-            alone = simplex(h[f:f + 1], z[f:f + 1])
-            assert np.array_equal(theta[f], alone[0][0])
-            assert np.array_equal(basis[f], alone[1][0])
-            assert (pivots[f], degenerate[f]) == (alone[2][0], alone[3][0])
-            if consistent[f]:
-                assert pivots[f] == 0
+    # (a consistent z); each must end exactly as it does alone.  At a bound
+    # of 1e-16 some fits drift past it and re-invert their basis while
+    # others of their stack do not: a fit's inverses must not depend on its
+    # stack either.
+    inverted = []  # the matrices of each np.linalg.inv call
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+    default = lav._CONSISTENT_TOL
+    for tol in (default, 1e-16):
+        monkeypatch.setattr(lav, "_CONSISTENT_TOL", tol)
+        rng = np.random.default_rng(8)
+        mixed = 0  # stacks in which some fits re-invert and others do not
+        for _ in range(60):
+            fits = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 4 * n + 2))
+            h = rng.integers(-3, 4, size=(fits, m, n)).astype(float)
+            h[:, :n] += 5 * np.eye(n)  # full column rank
+            z = rng.normal(size=(fits, m))
+            consistent = rng.random(fits) < 0.3
+            z[consistent] = (h[consistent] @ rng.normal(size=(n, 1)))[..., 0]
+            inverted.clear()
+            theta, basis, pivots, degenerate = simplex(h, z)
+            together, alone_inverted = sum(inverted), []
+            for f in range(fits):
+                inverted.clear()
+                alone = simplex(h[f:f + 1], z[f:f + 1])
+                alone_inverted.append(sum(inverted))
+                assert np.array_equal(theta[f], alone[0][0])
+                assert np.array_equal(basis[f], alone[1][0])
+                assert (pivots[f], degenerate[f]) == (alone[2][0], alone[3][0])
+                if consistent[f] and tol == default:
+                    assert pivots[f] == 0
+            assert together == sum(alone_inverted)
+            mixed += max(alone_inverted) > 1 and 1 in alone_inverted
+        # At the default bound no fit here ever needs a second inverse.
+        assert mixed > 0 if tol < default else mixed == 0

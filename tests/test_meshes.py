@@ -28,6 +28,7 @@ from lavse import (
 from lavse.experiments import ieee14_partitions
 from lavse.lav import simplex
 from lavse.leverage import LeverageWitness, _support_components, classify, detect_many
+from lavse.model import model_from_dict
 from lavse.power import Line, MeasurementSpec, NetworkModel, build_dc_model
 
 
@@ -113,15 +114,30 @@ def _bench_inputs():
 GRID_PIVOTS = [98, 71, 56, 45, 70, 74, 82, 40, 54, 57, 93, 65]
 
 
-def test_batch_of_one_keeps_basis_and_pivots(tmp_path):
+def test_batch_of_one_keeps_basis_and_pivots(tmp_path, monkeypatch):
+    inverted = []  # the matrices of each np.linalg.inv call
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
     instances = _bench_inputs().write_instances(tmp_path, 1, [(10, True)] * len(GRID_PIVOTS))
     for inst, pivots in zip(instances, GRID_PIVOTS):
         model = load_model(inst.model)
+        inverted.clear()
         sol = solve_lav(model)
         assert sol.iterations == pivots, inst.name
+        # The basis rows never drift past the bound: one factorization per fit.
+        assert inverted == [1], inst.name
         # The optimum is unique, so it has one basis: the N rows fitted exactly.
         assert not sol.degenerate and len(sol.zero_set) == model.n
         assert sol.objective == pytest.approx(_lp_objective(model), rel=1e-7)
+
+
+def test_long_fit_matches_lp_reference():
+    # 960 x 399 and 441 pivots: the basis inverse goes through hundreds of
+    # rank-one updates on one factorization.
+    inputs = _bench_inputs()
+    rng = np.random.default_rng(1)
+    model = model_from_dict(inputs.mesh_model(inputs.mesh_network(20, rng), rng, True))
+    assert solve_lav(model).objective == pytest.approx(_lp_objective(model), rel=1e-7)
 
 
 @pytest.mark.parametrize("k, seed", [(3, 0), (5, 3)])
