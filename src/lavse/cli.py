@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .lav import solve_lav
 from .leverage import detect_all, detect_partitioned, load_partitions
-from .model import format_matrix_csv, load_model, model_to_dict
+from .model import dump_json, format_matrix_csv, load_model, model_to_dict
 from .power import FIXTURES, build_dc_model, build_pmu_model, fixture_network, load_network
 from .projstats import compute_ps
 
@@ -42,12 +41,6 @@ EXIT_INTERNAL = 5
 _NUMERIC_ERRORS = (RankDeficient, DisconnectedBus, EmptyPartition, NonFinite,
                    DimensionMismatch, UnsupportedKind, UnknownLabel, IndexOutOfRange,
                    InvalidArgument)
-
-
-def _dump_json(doc) -> str:
-    # One compact line: json's C encoder only runs when indent is None.
-    # allow_nan=False keeps the output strict JSON: a NaN must become null first.
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -73,7 +66,7 @@ def cmd_estimate(args) -> int:
             "degenerate": sol.degenerate,
             "iterations": sol.iterations,
         }
-        _emit(_dump_json(doc), args.output)
+        _emit(dump_json(doc), args.output)
         return EXIT_OK
     lines = ["states: " + "  ".join(_fmt(x) for x in sol.theta_hat)]
     lines.append(f"objective: {_fmt(sol.objective)}")
@@ -95,7 +88,7 @@ def cmd_detect(args) -> int:
     else:
         report = detect_all(model)
     if args.format == "json":
-        _emit(_dump_json(report.to_dict()), args.output)
+        _emit(dump_json(report.to_dict()), args.output)
     else:
         _emit(report.render_table(), args.output)
     return EXIT_OK
@@ -105,7 +98,7 @@ def cmd_ps(args) -> int:
     model = load_model(args.model)
     report = compute_ps(model)
     if args.format == "json":
-        _emit(_dump_json(report.to_dict()), args.output)
+        _emit(dump_json(report.to_dict()), args.output)
     else:
         _emit(report.render_table(model.labels), args.output)
     return EXIT_OK
@@ -122,7 +115,7 @@ def cmd_build(args) -> int:
     builder = build_dc_model if args.model == "dc" else build_pmu_model
     model = builder(net)
     if args.format == "json":
-        _emit(_dump_json(model_to_dict(model)), args.output)
+        _emit(dump_json(model_to_dict(model)), args.output)
     elif args.format == "csv":
         _emit(format_matrix_csv(model.h), args.output)
     else:
@@ -203,10 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as err:
-        print(f"parse error: line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, OSError, UnicodeDecodeError) as err:  # OSError: unreadable or unwritable path
+    except (ParseError, OSError) as err:  # OSError: unreadable or unwritable path
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except _NUMERIC_ERRORS as err:

@@ -32,11 +32,12 @@ from .errors import (
     DimensionMismatch,
     LavseError,
     MaxIterations,
+    NonFinite,
     RankDeficient,
     TooLarge,
     UnboundedProblem,
 )
-from .model import MeasurementModel, matrix_rank, validate_model
+from .model import MeasurementModel, matrix_rank, pow2_scaled, validate_model
 
 # Optimality allows |y_k| up to 1 + _OPT_TOL; |y_k| within _OPT_TOL of 1 at
 # the optimum marks an alternative optimum.
@@ -109,10 +110,17 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
 
 
 def solve_lav(model: MeasurementModel) -> LavSolution:
-    """Globally minimize the sum of absolute residuals: ``simplex`` of one fit."""
+    """Globally minimize the sum of absolute residuals: ``simplex`` of one fit.
+
+    Raises NonFinite when theta or the objective lies beyond float range.
+    """
     validate_model(model)
     theta, _, iterations, degenerate = simplex(model.h[None], model.z[None])
-    return _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
+    if not (np.isfinite(sol.theta_hat).all() and np.isfinite(sol.objective)):
+        raise NonFinite(f"the fit lies beyond float range: objective {sol.objective}")
+    return sol
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,8 +183,12 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     arithmetic it would have alone, so a fit takes the same pivots in any
     stack.  Their products run as stacked matrix products, and a fit leaves
     the stack once it is optimal.
+
+    Each fit runs on its h scaled by a power of two (``pow2_scaled``),
+    which changes no pivot, and theta is scaled back at the end.
     """
     fits, m, n = h.shape
+    h, exponent = pow2_scaled(h, (1, 2))
     max_iter = _MAX_PIVOTS + _MAX_PIVOTS_PER_DIM * (m + n)
     first = (np.arange(fits) * m)[:, None]  # each fit's first row in the stacked rows
     final = _start_rows(h)  # each fit's basis once it stops pivoting
@@ -263,7 +275,9 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         theta = np.linalg.solve(rows[at], zs[at][..., None])
     except np.linalg.LinAlgError as err:
         raise LavseError(f"simplex basis became singular after {iterations} pivots: {err}") from None
-    return theta[..., 0], np.sort(final, axis=1), pivots, degenerate
+    with np.errstate(over="ignore"):  # theta beyond float range: the caller checks
+        theta = np.ldexp(theta[..., 0], -exponent[:, 0])
+    return theta, np.sort(final, axis=1), pivots, degenerate
 
 
 def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:

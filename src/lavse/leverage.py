@@ -56,7 +56,6 @@ blocks or dual bounds, as the extra-row study does for all its trials;
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -68,16 +67,22 @@ from .errors import (
     EmptyPartition,
     IndexOutOfRange,
     InvalidArgument,
-    ParseError,
+    LavseError,
     RankDeficient,
     TooLarge,
 )
 from .lav import ORACLE_MAX_M, ORACLE_MAX_N, simplex
 from .model import (
     MeasurementModel,
+    array,
+    fields,
+    integral,
     matrix_rank,
     nullspace_unit_vector,
     oriented,
+    pow2_scaled,
+    read_json,
+    string,
     validate_model,
 )
 
@@ -207,11 +212,19 @@ def _witness(h: np.ndarray, j: int, basis: Sequence[int], v: np.ndarray) -> Leve
 
 
 def classify(witness: Optional[LeverageWitness]) -> str:
-    """Verdict of a row from the witness of its best basis (None: clean)."""
+    """Verdict of a row from the witness of its best basis (None: clean).
+
+    A witness whose s or q is not finite has no margin to grade: LavseError.
+    """
     mu = -np.inf if witness is None else witness.margin()
     if mu >= _STRICT:
         return LEVERAGE
-    return BOUNDARY if mu >= -_TIE else CLEAN
+    if mu >= -_TIE:  # so s and q are finite
+        return BOUNDARY
+    if witness is not None and not math.isfinite(witness.s + witness.q):
+        raise LavseError(f"row {witness.row_index}: s = {witness.s} and q = {witness.q} "
+                         "must be finite")
+    return CLEAN
 
 
 def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[LeverageWitness]]:
@@ -242,7 +255,10 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     batch = max(1, _BATCH_BYTES // (h.itemsize * m * n))  # fits per stack
     for start in range(0, fits, batch):
         part = slice(start, start + batch)
-        hs, j = h[fit[part]], rows[part]  # this stack's matrices and rows
+        # This stack's matrices, scaled so that neither the fit nor v depends
+        # on the scale of h, and its rows.
+        hs, exponent = pow2_scaled(h[fit[part]], (1, 2))
+        j = rows[part]
         f = np.arange(j.size)
         hj = hs[f, j]
         c = np.argmax(np.abs(hj), axis=1)
@@ -256,10 +272,11 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
         vp = np.empty((j.size, n))
         vp[f[:, None], rest] = w
         vp[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+        vp = pow2_scaled(vp, 1)[0]  # so that vp . vp neither under- nor overflows
         v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
         proj = np.abs(hs @ vp[..., None])[..., 0]
-        q[part] = proj[f, j]
-        s[part] = proj.sum(axis=1) - q[part]
+        q[part] = np.ldexp(proj[f, j], exponent[:, 0, 0])
+        s[part] = np.ldexp(proj.sum(axis=1) - proj[f, j], exponent[:, 0, 0])
         basis[part] = others[f[:, None], tight]
     return v, s, q, basis, pivots
 
@@ -289,7 +306,7 @@ def _dual_bounds(h: np.ndarray) -> np.ndarray:
     matrix's bounds do not depend on the others in its stack.
     """
     m, n = h.shape[-2:]
-    stack = h.reshape(-1, m, n)
+    stack = pow2_scaled(h.reshape(-1, m, n), (1, 2))[0]  # lam does not depend on the scale
     q, r = np.linalg.qr(stack)
     r_inv = np.linalg.inv(r)
     lam = np.empty(stack.shape[:2])
@@ -638,28 +655,15 @@ def _merged(model: MeasurementModel,
 
 def partitions_from_dict(doc: dict, model: MeasurementModel) -> list[Partition]:
     """Parse ``{"partitions": [{"name", "measurements": [label-or-index]}]}``."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("partitions"), list):
-        raise ParseError("partition document must contain a 'partitions' array")
+    doc = fields(doc, "partition document", "partitions")
     out = []
-    for entry in doc["partitions"]:
-        if not isinstance(entry, dict) or "name" not in entry \
-                or not isinstance(entry.get("measurements"), list):
-            raise ParseError("each partition needs 'name' and a 'measurements' array")
-        indices = []
-        for item in entry["measurements"]:
-            if isinstance(item, bool):
-                raise ParseError(f"bad measurement reference {item!r}")
-            if isinstance(item, int):
-                indices.append(item)
-            elif isinstance(item, str):
-                indices.append(model.row_index(item))
-            else:
-                raise ParseError(f"bad measurement reference {item!r}")
-        out.append(Partition(name=str(entry["name"]), measurement_indices=tuple(indices)))
+    for entry in array(doc["partitions"], "field 'partitions'"):
+        entry = fields(entry, "partition", "name", "measurements")
+        rows = tuple(model.row_index(x) if isinstance(x, str) else integral(x, "measurement row")
+                     for x in array(entry["measurements"], "field 'measurements'"))
+        out.append(Partition(string(entry["name"], "partition name"), rows))
     return out
 
 
 def load_partitions(path, model: MeasurementModel) -> list[Partition]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return partitions_from_dict(doc, model)
+    return partitions_from_dict(read_json(path), model)

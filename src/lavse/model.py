@@ -1,14 +1,22 @@
-"""Measurement-model core: the linear model container and dense primitives.
+"""Measurement-model core: the linear model container, dense primitives and documents.
 
 Everything downstream (estimation, leverage diagnostics, projection
 statistics) consumes the ``MeasurementModel`` defined here.  All types are
 immutable after construction and all functions are pure, so concurrent use
 needs no synchronization.
+
+This module is also the package's one document layer.  ``read_json`` reads
+every JSON file (model, network and partition documents, and the bundled
+networks) and ``dump_json`` writes every one.  The model, network
+(``power``) and partition (``leverage``) readers take their value checks
+from the same helpers: ``fields``, ``array``, ``string``, ``number``,
+``numbers`` and ``integral``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,7 +136,8 @@ def matrix_rank(a: np.ndarray) -> int:
         raise NonFinite("matrix entries must be finite")
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    # Scaled, a keeps its rank, and its singular values cannot overflow.
+    s = np.linalg.svd(pow2_scaled(a, None)[0], compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     tol = max(a.shape) * s[0] * RANK_TOL_FACTOR
@@ -195,6 +204,18 @@ def nullspace_unit_vector(rows: np.ndarray) -> np.ndarray:
     return oriented(vt[-1])
 
 
+def pow2_scaled(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """a over the power of two that brings its largest |entry| along axis into [0.5, 1).
+
+    Returns the scaled array and that exponent, which keeps a's dimensions;
+    a slice of zeros is left as it is.  The scaling is exact while the
+    entries stay normal floats, so arithmetic on the result rounds as it
+    does on a, but no step under- or overflows for the scale of a alone.
+    """
+    exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(a, -exponent), exponent
+
+
 def oriented(v: np.ndarray) -> np.ndarray:
     """v or -v, whichever has its first nonzero component positive; each row of a 2-D v."""
     rows = np.atleast_2d(v)
@@ -207,7 +228,8 @@ def oriented(v: np.ndarray) -> np.ndarray:
 # File formats.
 #
 # Matrix exchange: plain-text CSV, one matrix row per line, no header.
-# Model file: JSON with fields "labels", "H", "z" and optional "true_states".
+# Model file: JSON with fields "labels", "H", "z" and optional "true_states"
+# and "state_labels".
 # ---------------------------------------------------------------------------
 
 
@@ -240,6 +262,83 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def read_json(path):
+    """The JSON value in the file at path; malformed JSON or undecodable bytes raise ParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(str(err)) from None
+
+
+def dump_json(doc) -> str:
+    """doc as one compact line with sorted keys: json's C encoder only runs when indent is None.
+
+    allow_nan=False keeps the output strict JSON: a NaN must become null first.
+    """
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+def fields(doc, what: str, *keys: str) -> dict:
+    """doc, which must be a JSON object holding each of keys."""
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        raise ParseError(f"{what} must be a JSON object with fields {', '.join(keys)}")
+    return doc
+
+
+def array(value, what: str) -> list:
+    """value, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array")
+    return value
+
+
+def string(value, what: str) -> str:
+    """value, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A JSON number, not a string or a boolean, as a float."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:  # an integer beyond float range
+        raise NonFinite(f"{what} must be finite: {err}") from None
+
+
+def numbers(value, what: str, nested: bool = False) -> np.ndarray:
+    """A flat array of JSON numbers, or when nested an array of such arrays of one length.
+
+    Each entry's type is checked, since numpy reads true as 1 and "1" as 1.0.
+    """
+    rows = array(value, what) if nested else [array(value, what)]
+    if not (all(type(row) is list for row in rows)
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        shape = "an array of arrays" if nested else "a flat array"
+        raise ParseError(f"{what} must be {shape} of numbers")
+    if len(set(map(len, rows))) > 1:
+        raise ParseError(f"{what} has ragged rows")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as err:  # an integer beyond float range
+        raise NonFinite(f"{what} must be finite: {err}") from None
+
+
+def integral(value, what: str) -> int:
+    """An integral JSON number (3 or 3.0), not a string or a boolean, as an int."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def model_to_dict(model: MeasurementModel) -> dict:
     doc = {
         "labels": list(model.labels),
@@ -253,63 +352,22 @@ def model_to_dict(model: MeasurementModel) -> dict:
     return doc
 
 
-def _numbers(doc: dict, key: str, flat: bool = True) -> np.ndarray:
-    """A field of JSON numbers: a flat array, or any array when not flat.
-
-    numpy infers the dtype, so a quoted number stays a string and fails the
-    check.  An integer beyond int64 makes an object array; converting it
-    raises OverflowError when the integer is beyond float range too.
-    """
-    a = np.array(doc[key])
-    if a.dtype == object and all(isinstance(x, (int, float)) for x in a.flat):
-        a = a.astype(float)
-    if a.dtype.kind not in "iuf" or (flat and a.ndim != 1):
-        shape = "a flat array" if flat else "an array of arrays"
-        raise ParseError(f"field {key!r} must be {shape} of numbers")
-    return a
-
-
-def _strings(doc: dict, key: str) -> tuple[str, ...]:
-    """A field that must be an array of JSON strings."""
-    names = doc[key]
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise ParseError(f"field {key!r} must be an array of strings")
-    return tuple(names)
-
-
 def model_from_dict(doc: dict) -> MeasurementModel:
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
-    for key in ("labels", "H", "z"):
-        if key not in doc:
-            raise ParseError(f"model document missing field {key!r}")
-    h_rows = doc["H"]
-    if not isinstance(h_rows, list) or not all(isinstance(r, list) for r in h_rows):
-        raise ParseError("field 'H' must be an array of arrays")
-    widths = {len(r) for r in h_rows}
-    if len(widths) > 1:
-        raise ParseError("field 'H' has ragged rows")
-    try:
-        return MeasurementModel(
-            h=_numbers(doc, "H", flat=False),
-            z=_numbers(doc, "z"),
-            labels=_strings(doc, "labels"),
-            true_states=None if doc.get("true_states") is None else _numbers(doc, "true_states"),
-            state_labels=None if doc.get("state_labels") is None else _strings(doc, "state_labels"),
-        )
-    except OverflowError as err:  # an integer beyond float range
-        raise NonFinite(f"model entries must be finite: {err}") from None
-    except (TypeError, ValueError) as err:
-        if isinstance(err, (DimensionMismatch, InvalidArgument, NonFinite, ParseError)):
-            raise
-        raise ParseError(f"bad model document: {err}") from None
+    doc = fields(doc, "model document", "labels", "H", "z")
+    return MeasurementModel(
+        h=numbers(doc["H"], "field 'H'", nested=True),
+        z=numbers(doc["z"], "field 'z'"),
+        labels=tuple(string(s, "a label") for s in array(doc["labels"], "field 'labels'")),
+        true_states=None if doc.get("true_states") is None else numbers(
+            doc["true_states"], "field 'true_states'"),
+        state_labels=None if doc.get("state_labels") is None else tuple(
+            string(s, "a state label") for s in array(doc["state_labels"], "field 'state_labels'")),
+    )
 
 
 def load_model(path) -> MeasurementModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))
 
 
 def save_model(model: MeasurementModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    Path(path).write_text(dump_json(model_to_dict(model)))

@@ -22,10 +22,8 @@ Bundled fixtures: ``threebus-dc``, ``threebus-pmu`` and ``ieee14-dc``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,10 +33,9 @@ from .errors import (
     DimensionMismatch,
     DisconnectedBus,
     InvalidArgument,
-    ParseError,
     UnsupportedKind,
 )
-from .model import MeasurementModel
+from .model import MeasurementModel, array, dump_json, fields, integral, number, read_json, string
 
 # kind -> (state block, row shape, sign of a flow's entry at its from-bus).
 # PMU currents are received currents: flow f->t reads (V_t - V_f)/x on the
@@ -282,64 +279,36 @@ def network_to_dict(net: NetworkModel) -> dict:
     }
 
 
-def _number(value) -> float:
-    """A line's x or r from a network document: a JSON number, not a string or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _bus_id(value) -> int:
-    """A bus id from a network document: an integral JSON number, not a string or a boolean."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"bus id must be an integer, got {value!r}")
-    return value
-
-
 def network_from_dict(doc: dict) -> NetworkModel:
-    if not isinstance(doc, dict):
-        raise ParseError("network document must be a JSON object")
-    for key in ("buses", "reference", "lines", "measurements"):
-        if key not in doc:
-            raise ParseError(f"network document missing field {key!r}")
-    try:
-        lines = [Line(_bus_id(d["from"]), _bus_id(d["to"]), _number(d["x"]),
-                      _number(d.get("r", 0.0)))
-                 for d in doc["lines"]]
-        measurements = [
+    doc = fields(doc, "network document", "buses", "reference", "lines", "measurements")
+    lines = [fields(d, "line", "from", "to", "x") for d in array(doc["lines"], "field 'lines'")]
+    specs = [fields(d, "measurement", "kind", "label")
+             for d in array(doc["measurements"], "field 'measurements'")]
+    return NetworkModel(
+        buses=[integral(b, "bus id") for b in array(doc["buses"], "field 'buses'")],
+        reference_bus=integral(doc["reference"], "bus id"),
+        lines=[Line(integral(d["from"], "bus id"), integral(d["to"], "bus id"),
+                    number(d["x"], "line x"), number(d.get("r", 0.0), "line r"))
+               for d in lines],
+        measurements=[
             MeasurementSpec(
-                kind=str(d["kind"]),
-                label=str(d["label"]),
-                bus=None if d.get("bus") is None else _bus_id(d["bus"]),
-                from_bus=None if d.get("from") is None else _bus_id(d["from"]),
-                to_bus=None if d.get("to") is None else _bus_id(d["to"]),
+                kind=string(d["kind"], "measurement kind"),
+                label=string(d["label"], "measurement label"),
+                bus=None if d.get("bus") is None else integral(d["bus"], "bus id"),
+                from_bus=None if d.get("from") is None else integral(d["from"], "bus id"),
+                to_bus=None if d.get("to") is None else integral(d["to"], "bus id"),
             )
-            for d in doc["measurements"]
-        ]
-        return NetworkModel(
-            buses=[_bus_id(b) for b in doc["buses"]],
-            reference_bus=_bus_id(doc["reference"]),
-            lines=lines,
-            measurements=measurements,
-        )
-    except OverflowError as err:  # an integer x or r beyond float range
-        raise InvalidArgument(f"line x and r must be finite: {err}") from None
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, InvalidArgument):
-            raise
-        raise ParseError(f"bad network document: {err}") from None
+            for d in specs
+        ],
+    )
 
 
 def load_network(path) -> NetworkModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return network_from_dict(doc)
+    return network_from_dict(read_json(path))
 
 
 def save_network(net: NetworkModel, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
+    Path(path).write_text(dump_json(network_to_dict(net)))
 
 
 def fixture_network(name: str) -> NetworkModel:
@@ -347,8 +316,7 @@ def fixture_network(name: str) -> NetworkModel:
     if name not in FIXTURES:
         raise InvalidArgument(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
     fname = name.replace("-", "_") + ".json"
-    with resources.files("lavse.data").joinpath(fname).open() as fh:
-        return network_from_dict(json.load(fh))
+    return load_network(Path(__file__).with_name("data") / fname)
 
 
 def fixture_model(name: str, states=None) -> MeasurementModel:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,10 @@ BAD_DOCUMENTS = {
                           '"true_states": ["1", 2]}',
     "labels-string": '{"labels": "abc", "H": [[1, 0], [0, 1], [1, 1]], "z": [1, 2, 3]}',
     "z-nested": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [[1, 2, 3]]}',
+    "h-bool": '{"labels": ["a", "b", "c"], "H": [[true, 0], [0, 1], [1, 1]], "z": [1, 2, 3]}',
+    "z-bool": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [true, 2, 3]}',
+    "true-states-bool": '{"labels": ["a", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], "z": [1, 2, 3], '
+                        '"true_states": [1, false]}',
 }
 BAD_PARTITIONS = {
     "empty": "",
@@ -295,6 +300,7 @@ BAD_PARTITIONS = {
     "row-out-of-range": '{"partitions": [{"name": "a", "measurements": [999]}]}',
     "unknown-label": '{"partitions": [{"name": "a", "measurements": ["nope"]}]}',
     "nan-row": '{"partitions": [{"name": "a", "measurements": [NaN]}]}',
+    "name-number": '{"partitions": [{"name": 5, "measurements": [0]}]}',
     "duplicate-name": '{"partitions": [{"name": "a", "measurements": [0, 1, 2, 3, 4, 5, 6]}, '
                       '{"name": "a", "measurements": [0, 1, 2, 3, 4, 5]}]}',
 }
@@ -322,6 +328,7 @@ BAD_NETWORKS = {
     "x-quoted": _network(add_lines=[{"from": 1, "to": 3, "x": "0.1"}]),
     "r-quoted": _network(add_lines=[{"from": 1, "to": 3, "x": 0.1, "r": "0"}]),
     "bus-quoted": _network(add_lines=[{"from": 1, "to": "3", "x": 0.1}]),
+    "label-number": _network(add_measurements=[{"kind": "pinj", "label": 5, "bus": 1}]),
     "x-null": _network(add_lines=[{"from": 1, "to": 3, "x": None}]),
     "x-nan": _network(add_lines=[{"from": 1, "to": 3, "x": float("nan")}]),
     "x-zero": _network(add_lines=[{"from": 1, "to": 3, "x": 0.0}]),
@@ -398,17 +405,18 @@ def test_non_finite_number_exits_3(argv, text, tmp_path, capsys):
 QUOTED_CASES = (
     [pytest.param([cmd, "{doc}"], BAD_DOCUMENTS[name], id=f"{cmd}-{name}")
      for cmd in ("estimate", "detect", "ps")
-     for name in ("h-quoted", "z-quoted", "true-states-quoted", "labels-string", "z-nested")]
+     for name in ("h-quoted", "z-quoted", "true-states-quoted", "labels-string", "z-nested",
+                  "h-bool", "z-bool", "true-states-bool")]
     + [pytest.param(["build", "{doc}", "--model", kind], BAD_NETWORKS[name],
                     id=f"build-{kind}-{name}")
-       for kind in ("dc", "pmu") for name in ("x-quoted", "r-quoted", "bus-quoted")]
+       for kind in ("dc", "pmu") for name in ("x-quoted", "r-quoted", "bus-quoted", "label-number")]
 )
 
 
 @pytest.mark.parametrize("argv,text", QUOTED_CASES)
 def test_wrong_json_type_exits_2(argv, text, tmp_path, capsys):
     # Numbers must be JSON numbers, labels an array of strings and z a flat
-    # array: a quoted number or a reshaped field is a parse error.
+    # array: a quoted number, a boolean or a reshaped field is a parse error.
     doc = tmp_path / "doc.json"
     doc.write_text(text)
     assert cli.main([a.format(doc=doc) for a in argv]) == 2
@@ -441,6 +449,33 @@ def test_unusable_path_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def _probe(tmp_path, scale):
+    """The 3-bus model [[1, 0], [0, 1], [1, 1]] times scale, with z = [1, 2, 3]."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "z": [1, 2, 3],
+                                "H": [[scale, 0], [0, scale], [scale, scale]]}))
+    return path
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e-308, 1e200])
+def test_verdicts_do_not_depend_on_the_scale_of_h(scale, tmp_path, capsys):
+    # Every row ties (s = q) at any scale, and no step under- or overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["detect", str(_probe(tmp_path, scale)), "--format", "json"]) == 0
+    assert [r["verdict"] for r in json.loads(capsys.readouterr().out)["rows"]] == ["boundary"] * 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_estimate_beyond_float_range_exits_3(fmt, tmp_path, capsys):
+    # At 1e-308, theta = [1e308, 2e308] overflows: one error line and no output.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["estimate", str(_probe(tmp_path, 1e-308)), "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):

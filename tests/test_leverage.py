@@ -364,6 +364,7 @@ class TestPartitions:
 
     def test_partition_parsing_labels_and_indices(self):
         model = three_bus_model()
-        doc = {"partitions": [{"name": "p", "measurements": ["m0", 3, "m6"]}]}
-        (part,) = partitions_from_dict(doc, model)
-        assert part.measurement_indices == (0, 3, 6)
+        doc = {"partitions": [{"name": "p", "measurements": ["m0", 3, "m6"]},
+                              {"name": "q", "measurements": ["m0", 3.0, "m6"]}]}
+        for part in partitions_from_dict(doc, model):  # a row may be an integral float
+            assert part.measurement_indices == (0, 3, 6)

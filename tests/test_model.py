@@ -193,6 +193,8 @@ class TestFileFormats:
         assert np.array_equal(loaded.h, model.h)
         assert np.array_equal(loaded.z, model.z)
         assert loaded.labels == model.labels
+        text = path.read_text()  # one compact line with sorted keys
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_model_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Network model builders and bundled fixtures."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,8 @@ class TestNetworkFiles:
         save_network(net, path)
         loaded = load_network(path)
         assert network_to_dict(loaded) == network_to_dict(net)
+        text = path.read_text()  # one compact line with sorted keys
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):

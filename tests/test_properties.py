@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lavse import (
     MeasurementModel,
     detect_all,
+    fixture_model,
     leverage_margin,
     leverage_oracle,
     matrix_rank,
@@ -21,8 +22,9 @@ from lavse import (
     solve_lav,
 )
 from lavse.leverage import _support_components, classify
+from lavse.power import FIXTURES
 
-from test_meshes import row_witnesses
+from test_meshes import mesh_model, row_witnesses
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -135,3 +137,25 @@ def test_stack_split_keeps_report(model, rows_per_stack):
     assert split.combos_examined == whole.combos_examined
     assert {j: (w.basis, w.v.tolist(), w.s, w.q) for j, w in split.witnesses.items()} == \
         {j: (w.basis, w.v.tolist(), w.s, w.q) for j, w in whole.witnesses.items()}
+
+
+SCALED = [fixture_model(name) for name in FIXTURES] + [mesh_model(5, 3),
+                                                       mesh_model(5, 53, injection_step=1)]
+
+
+@SETTINGS
+@given(st.sampled_from(SCALED), st.data())
+def test_detection_is_exact_under_power_of_two_scaling(model, data):
+    # Detection scales each matrix and v by powers of two, so 2^k H gets the
+    # same verdicts, bases and v, with s and q scaled by exactly 2^k, for
+    # every k that keeps each entry of H a normal float and the sum of their
+    # magnitudes, a bound on every s and q, finite.
+    lowest = np.frexp(np.abs(model.h[model.h != 0]).min())[1]
+    highest = np.frexp(np.abs(model.h).sum())[1]
+    k = data.draw(st.integers(-1021 - lowest, 1024 - highest))
+    before = detect_all(model)
+    after = detect_all(MeasurementModel(np.ldexp(model.h, k), model.z, model.labels))
+    assert after.verdicts == before.verdicts
+    assert {j: (w.basis, w.v.tobytes(), w.s, w.q) for j, w in after.witnesses.items()} == \
+        {j: (w.basis, w.v.tobytes(), np.ldexp(w.s, k), np.ldexp(w.q, k))
+         for j, w in before.witnesses.items()}
