@@ -10,7 +10,6 @@ reference results.
 """
 
 from .errors import (
-    DegenerateBasis,
     DimensionMismatch,
     DisconnectedBus,
     EmptyPartition,
@@ -21,12 +20,11 @@ from .errors import (
     NonFinite,
     ParseError,
     RankDeficient,
-    TooLarge,
     UnboundedProblem,
     UnknownLabel,
     UnsupportedKind,
 )
-from .lav import LavSolution, lav_vertex_oracle, objective_at, solve_lav
+from .lav import LavSolution, objective_at, solve_lav
 from .leverage import (
     BOUNDARY,
     CLEAN,
@@ -40,7 +38,6 @@ from .leverage import (
     detect_partitioned,
     detect_row,
     leverage_margin,
-    leverage_oracle,
     load_partitions,
     partitions_from_dict,
     resolve_partition,
@@ -54,7 +51,6 @@ from .model import (
     matrix_rank,
     model_from_dict,
     model_to_dict,
-    nullspace_unit_vector,
     projection_matrix,
     save_matrix_csv,
     save_model,

@@ -28,14 +28,6 @@ class RankDeficient(LavseError):
         super().__init__(f"rank {self.rank} < required {self.needed}{where}")
 
 
-class DegenerateBasis(LavseError):
-    """A candidate basis has rank below N-1, so its null space is not a line."""
-
-
-class TooLarge(LavseError):
-    """Problem size exceeds a combinatorial guard."""
-
-
 class MaxIterations(LavseError):
     """An iterative solve exceeded its iteration cap."""
 

@@ -15,15 +15,11 @@ takes a stack of fits of one shape and pivots them in lockstep, so the
 leverage test (``leverage.py``) solves the per-row fits of many blocks in
 one call and the extra-row study (``experiments.py``) fits all its trials
 in one call; ``solve_lav`` is a stack of one.
-``lav_vertex_oracle`` solves the problem by brute-force enumeration of
-the square subsystems whose solutions are the candidate vertices; it
-exists to cross-check the simplex and is guarded to small sizes.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +29,9 @@ from .errors import (
     LavseError,
     MaxIterations,
     NonFinite,
-    RankDeficient,
-    TooLarge,
     UnboundedProblem,
 )
-from .model import MeasurementModel, matrix_rank, pow2_scaled, validate_model
+from .model import MeasurementModel, pow2_scaled, validate_model
 
 # Optimality allows |y_k| up to 1 + _OPT_TOL; |y_k| within _OPT_TOL of 1 at
 # the optimum marks an alternative optimum.
@@ -58,9 +52,6 @@ _ZERO = 1e-8
 _MAX_PIVOTS = 1000
 _MAX_PIVOTS_PER_DIM = 50
 
-ORACLE_MAX_M = 20
-ORACLE_MAX_N = 4
-
 
 @dataclass(frozen=True)
 class LavSolution:
@@ -74,8 +65,8 @@ class LavSolution:
     the optimum: releasing that row leaves the objective flat to first
     order, so the optimum may not be unique.  It is a test on the final
     basis, not on the objective values of other vertices, so it can
-    disagree with the flag of ``lav_vertex_oracle``: at a degenerate vertex
-    a row can price out although the step along it is zero.
+    disagree with a comparison of every vertex's objective: at a degenerate
+    vertex a row can price out although the step along it is zero.
     """
 
     theta_hat: np.ndarray
@@ -184,11 +175,13 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     stack.  Their products run as stacked matrix products, and a fit leaves
     the stack once it is optimal.
 
-    Each fit runs on its h scaled by a power of two (``pow2_scaled``),
-    which changes no pivot, and theta is scaled back at the end.
+    Each fit runs on its h and its z scaled by powers of two
+    (``pow2_scaled``), which changes no pivot, and theta is scaled back at
+    the end.
     """
     fits, m, n = h.shape
     h, exponent = pow2_scaled(h, (1, 2))
+    z, z_exponent = pow2_scaled(z, 1)
     max_iter = _MAX_PIVOTS + _MAX_PIVOTS_PER_DIM * (m + n)
     first = (np.arange(fits) * m)[:, None]  # each fit's first row in the stacked rows
     final = _start_rows(h)  # each fit's basis once it stops pivoting
@@ -213,7 +206,8 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         # No fit has an inverse yet: an infinite residual on each basis row asks for one.
         b_inv, residual = np.empty((live.size, n, n)), np.full_like(shifted, np.inf)
         # Rows off the line search divide by a zero a; their ratio is discarded.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A ratio past float range is inf: a breakpoint that no step reaches.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while live.size:
                 drift = np.abs(residual.take(basis)) > bound  # the vertex fits its basis rows
                 stale = np.logical_or.reduce(drift, axis=1).nonzero()[0]
@@ -276,41 +270,6 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     except np.linalg.LinAlgError as err:
         raise LavseError(f"simplex basis became singular after {iterations} pivots: {err}") from None
     with np.errstate(over="ignore"):  # theta beyond float range: the caller checks
-        theta = np.ldexp(theta[..., 0], -exponent[:, 0])
+        theta = np.ldexp(theta[..., 0], z_exponent - exponent[:, 0])
     return theta, np.sort(final, axis=1), pivots, degenerate
 
-
-def lav_vertex_oracle(model: MeasurementModel) -> LavSolution:
-    """Brute-force reference solver: try every square subsystem.
-
-    Any minimizer of the piecewise-linear objective lies at an intersection
-    of N zero-residual loci, so evaluating the objective at the solution of
-    every nonsingular N-row subsystem and keeping the best is exact.  Ties
-    within 1e-9 * |z|_inf keep the lexicographically first subset and mark
-    the solution degenerate.
-    """
-    m, n = model.m, model.n
-    if m > ORACLE_MAX_M or n > ORACLE_MAX_N:
-        raise TooLarge(f"oracle guard: need M <= {ORACLE_MAX_M} and N <= {ORACLE_MAX_N}")
-    validate_model(model)
-
-    tol = 1e-9 * np.abs(model.z).max(initial=0.0)
-    best_theta = None
-    best_obj = np.inf
-    degenerate = False
-    evaluated = 0
-    for subset in itertools.combinations(range(m), n):
-        sub = model.h[list(subset)]
-        if matrix_rank(sub) < n:
-            continue
-        theta = np.linalg.solve(sub, model.z[list(subset)])
-        obj = objective_at(model, theta)
-        evaluated += 1
-        if obj < best_obj - tol:
-            best_theta, best_obj = theta, obj
-            degenerate = False
-        elif abs(obj - best_obj) <= tol and not np.allclose(theta, best_theta, atol=tol):
-            degenerate = True
-    if best_theta is None:
-        raise RankDeficient(matrix_rank(model.h), n, "no nonsingular subsystem")
-    return _finish(model, best_theta, evaluated, degenerate)

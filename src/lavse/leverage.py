@@ -22,11 +22,9 @@ and q are recomputed over every row and graded by ``classify`` on the
 relative margin (q - s)/q, which does not change when H is multiplied by
 a constant.  The verdict thus comes from the best basis, so it is canonical,
 and the cost is polynomial rather than C(M-1, N-1) bases per row.
-``leverage_oracle`` keeps that enumeration, guarded to small sizes, as a
-reference for tests.  ``detect_many`` first splits each model into
-connected blocks of the row-support graph: rows in one block are orthogonal
-to null directions of another, so per-block detection yields the same
-verdicts on smaller fits.
+``detect_many`` first splits each model into connected blocks of the
+row-support graph: rows in one block are orthogonal to null directions of
+another, so per-block detection yields the same verdicts on smaller fits.
 
 Most rows need no fit at all.  Row j's LP has the dual
 
@@ -55,30 +53,20 @@ blocks or dual bounds, as the extra-row study does for all its trials;
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    EmptyPartition,
-    IndexOutOfRange,
-    InvalidArgument,
-    LavseError,
-    RankDeficient,
-    TooLarge,
-)
-from .lav import ORACLE_MAX_M, ORACLE_MAX_N, simplex
+from .errors import EmptyPartition, IndexOutOfRange, InvalidArgument, NonFinite, RankDeficient
+from .lav import simplex
 from .model import (
     MeasurementModel,
     array,
     fields,
     integral,
     matrix_rank,
-    nullspace_unit_vector,
     oriented,
     pow2_scaled,
     read_json,
@@ -145,7 +133,7 @@ class LeverageWitness:
     q: float
 
     def margin(self) -> float:
-        """(q - s)/q, or -inf when q = 0."""
+        """(q - s)/q, or -inf unless q > 0 (q is NaN for a row that vanishes under scaling)."""
         return (self.q - self.s) / self.q if self.q > 0 else -np.inf
 
     def is_tie(self) -> bool:
@@ -203,27 +191,20 @@ class LeverageReport:
         return "\n".join(lines)
 
 
-def _witness(h: np.ndarray, j: int, basis: Sequence[int], v: np.ndarray) -> LeverageWitness:
-    """Both sides of the inequality for the basis rows and their unit null vector v."""
-    proj = np.abs(h @ v)
-    q = float(proj[j])
-    return LeverageWitness(row_index=j, basis=tuple(int(b) for b in basis), v=v,
-                           s=float(proj.sum() - q), q=q)
-
-
 def classify(witness: Optional[LeverageWitness]) -> str:
     """Verdict of a row from the witness of its best basis (None: clean).
 
-    A witness whose s or q is not finite has no margin to grade: LavseError.
+    The margin grades it: -inf, as when s alone overflowed, is clean, and
+    an undefined (NaN) margin, as when q overflowed, raises NonFinite.
     """
     mu = -np.inf if witness is None else witness.margin()
     if mu >= _STRICT:
         return LEVERAGE
-    if mu >= -_TIE:  # so s and q are finite
+    if mu >= -_TIE:
         return BOUNDARY
-    if witness is not None and not math.isfinite(witness.s + witness.q):
-        raise LavseError(f"row {witness.row_index}: s = {witness.s} and q = {witness.q} "
-                         "must be finite")
+    if math.isnan(mu):
+        raise NonFinite(f"row {witness.row_index}: s = {witness.s} and q = {witness.q} "
+                        "give no margin")
     return CLEAN
 
 
@@ -247,6 +228,11 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     full column rank whenever h does, since g w = 0 forces h v = 0.  The
     fit's w, completed by v_c and scaled to unit length, is v.  Every fit's
     g is (M-1) x (N-1), so the fits run as stacks of ``simplex``.
+
+    A row that underflows under its stack's power-of-two scaling divides by
+    a zero or subnormal h_jc and gets a NaN q, hence a margin of -inf.  It
+    is clean: a leverage row j has |h v|_1 <= 2|h_j . v|, which full column
+    rank allows only if |h_j| is at least about 1e-12 of the largest entry.
     """
     fits, m, n = rows.size, h.shape[1], h.shape[2]
     v, s, q = np.empty((fits, n)), np.empty(fits), np.empty(fits)
@@ -265,18 +251,22 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
         others = np.arange(m - 1) + (np.arange(m - 1) >= j[:, None])  # every row but j
         rest = np.arange(n - 1) + (np.arange(n - 1) >= c[:, None])  # every column but c
         lead = hj[f, c]
-        r = hs[f[:, None], others, c[:, None]] / lead[:, None]
         hj_rest = hj[f[:, None], rest]
-        g = r[..., None] * hj_rest[:, None] - hs[f[:, None, None], others[..., None], rest[:, None]]
-        w, tight, pivots[part], _ = simplex(g, r)
-        vp = np.empty((j.size, n))
-        vp[f[:, None], rest] = w
-        vp[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
-        vp = pow2_scaled(vp, 1)[0]  # so that vp . vp neither under- nor overflows
-        v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
-        proj = np.abs(hs @ vp[..., None])[..., 0]
-        q[part] = np.ldexp(proj[f, j], exponent[:, 0, 0])
-        s[part] = np.ldexp(proj.sum(axis=1) - proj[f, j], exponent[:, 0, 0])
+        # A lead that is zero or subnormal leaves NaN or inf in the fit and
+        # in q, and s overflows to inf past float range: classify grades both.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = hs[f[:, None], others, c[:, None]] / lead[:, None]
+            g = r[..., None] * hj_rest[:, None] - hs[f[:, None, None], others[..., None],
+                                                    rest[:, None]]
+            w, tight, pivots[part], _ = simplex(g, r)
+            vp = np.empty((j.size, n))
+            vp[f[:, None], rest] = w
+            vp[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+            vp = pow2_scaled(vp, 1)[0]  # so that vp . vp neither under- nor overflows
+            v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
+            proj = np.abs(hs @ vp[..., None])[..., 0]
+            q[part] = np.ldexp(proj[f, j], exponent[:, 0, 0])
+            s[part] = np.ldexp(proj.sum(axis=1) - proj[f, j], exponent[:, 0, 0])
         basis[part] = others[f[:, None], tight]
     return v, s, q, basis, pivots
 
@@ -372,30 +362,6 @@ def leverage_margins(h: np.ndarray,
                                    s.tolist(), q.tolist()):
         graded[k] = _graded(LeverageWitness(row_index=j, basis=tuple(b), v=vk, s=sk, q=qk))
     return graded
-
-
-def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[LeverageWitness]]:
-    """Brute-force reference for ``leverage_margin``: grade every basis.
-
-    Enumerates all C(M-1, N-1) subsets of the other rows, skips those of
-    rank below N-1, and grades the best-margin basis (ties keep the
-    lexicographically first subset).  Guarded to the sizes of
-    ``lav_vertex_oracle``.
-    """
-    if model.m > ORACLE_MAX_M or model.n > ORACLE_MAX_N:
-        raise TooLarge(f"oracle guard: need M <= {ORACLE_MAX_M} and N <= {ORACLE_MAX_N}")
-    _checked_row(model, j)
-    best = None
-    if model.h[j].any():
-        others = [i for i in range(model.m) if i != j]
-        for basis in itertools.combinations(others, model.n - 1):
-            try:
-                w = _witness(model.h, j, basis, nullspace_unit_vector(model.h[list(basis)]))
-            except DegenerateBasis:
-                continue
-            if best is None or w.margin() > best.margin():
-                best = w
-    return _graded(best)
 
 
 def _support_components(h: np.ndarray) -> list[tuple[list[int], list[int]]]:

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateBasis,
     DimensionMismatch,
     InvalidArgument,
     NonFinite,
@@ -180,28 +179,6 @@ def projection_matrix(model: MeasurementModel) -> ProjectionDiagnostics:
     q, _ = np.linalg.qr(model.h)
     p = q @ q.T
     return ProjectionDiagnostics(p=p, diag=np.diag(p).copy())
-
-
-def nullspace_unit_vector(rows: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to N-1 stacked rows of length N.
-
-    The rows must have rank exactly N-1 so the null space is a line; the
-    returned vector has its first nonzero component positive, which makes
-    the result deterministic even though the line itself is sign-ambiguous.
-
-    Raises DegenerateBasis when the rank falls short.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    k, n = rows.shape
-    if k != n - 1:
-        raise DimensionMismatch(f"expected {n - 1} rows of length {n}, got {k}")
-    if k == 0:
-        return np.ones(1)
-    _, s, vt = np.linalg.svd(rows)
-    tol = max(k, n) * s[0] * RANK_TOL_FACTOR if s[0] > 0 else 0.0
-    if s[0] == 0.0 or np.count_nonzero(s > tol) < k:
-        raise DegenerateBasis(f"basis rank {np.count_nonzero(s > tol)} < {k}")
-    return oriented(vt[-1])
 
 
 def pow2_scaled(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:

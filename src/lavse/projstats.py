@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .model import MeasurementModel
+from .model import MeasurementModel, pow2_scaled
 
 # Consistency factor making the MAD estimate the Gaussian sigma.
 _MAD_SCALE = 1.4826
@@ -206,19 +206,21 @@ def compute_ps(model: MeasurementModel) -> PSReport:
     Candidate directions are the rows recentred at the coordinatewise
     median; projections along each direction are standardized by the
     scaled median absolute deviation, and each row keeps the square of its
-    worst standardized projection.
+    worst standardized projection.  These ratios do not depend on the scale
+    of h, so they are computed on h scaled by a power of two, on which no
+    norm overflows.
     """
-    h = model.h
     m = model.m
     if m < 2:
         raise InvalidArgument("projection statistics need at least two rows")
 
-    dof = np.count_nonzero(h, axis=1)
+    dof = np.count_nonzero(model.h, axis=1)
     zero_rows = np.flatnonzero(dof == 0)
     if zero_rows.size:
         raise InvalidArgument(f"row {model.labels[zero_rows[0]]!r} is all zero: "
                               "projection statistics need a nonzero coefficient in every row")
 
+    h = pow2_scaled(model.h, None)[0]
     center = np.median(h, axis=0)
     directions = h - center
     norms = np.linalg.norm(directions, axis=1)

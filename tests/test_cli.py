@@ -478,6 +478,54 @@ def test_estimate_beyond_float_range_exits_3(fmt, tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# Well-formed documents whose entries span the float range, with the exit
+# of each command, which must print nothing to stderr.  The first two once
+# exited 5; the last two once printed RuntimeWarnings from the simplex, on
+# a row that underflows under its scaling and on a breakpoint past float range.
+EDGE_DOCUMENTS = {
+    "one-column-span": ({"labels": ["a", "b", "c", "d", "e"], "z": [0, 0, 0, 0, 0],
+                         "H": [[4.948612551190319e+16], [5.0562961977149144e-213],
+                               [3.619594960314317e-104], [1.0687246164638938e+16],
+                               [-8.568588166909925e+120]]},
+                        {"detect": 0, "estimate": 0}),
+    "z-span": ({"labels": ["a", "b", "c", "d"],
+                "H": [[-6.705555705265204e-105], [3.352777852632602e-105],
+                      [-1.0058333557897806e-104], [-3.352777852632602e-105]],
+                "z": [1.863772602532323e+16, 0.707, -1.7976931348623155e+308,
+                      -2.1219476978462488e+63]},
+               {"detect": 0, "estimate": 0}),
+    "tiny-row": ({"labels": ["a", "b", "c", "d", "e", "f"], "z": [0, 0, 0, 0, 0, 0],
+                  "H": [[0.0, 2.60750842793813e-310, -8.691694759794e-311], [-3, -2, 2],
+                        [-3, -1, 0], [1, 1, 3], [1, -2, -3], [3, 2, -3]]},
+                 {"detect": 0, "estimate": 0}),
+    "one-column-subnormal": ({"labels": ["a", "b", "c", "d", "e", "f"],
+                              "H": [[-2], [3], [4.345847379897e-311], [2], [0], [0]],
+                              "z": [-7.555786372591432e+22, -7.555786372591432e+22,
+                                    3.777893186295716e+22, 7.555786372591432e+22,
+                                    -1.1333679558887149e+23, 7.555786372591432e+22]},
+                             {"detect": 0, "estimate": 0}),
+}
+
+
+@pytest.mark.parametrize("name,command", [(name, command) for name, (_, codes) in
+                                          EDGE_DOCUMENTS.items() for command in codes])
+def test_edge_document_exits(name, command, tmp_path, capsys):
+    doc, codes = EDGE_DOCUMENTS[name]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, str(path), "--format", "json"]) == codes[command]
+    out, err = capsys.readouterr()
+    assert err == ""
+    if (name, command) == ("one-column-span", "detect"):
+        # The closed form: the row of -8.6e120 outweighs the rest, and no other row does.
+        rows = json.loads(out)["rows"]
+        assert [r["verdict"] for r in rows] == ["clean"] * 4 + ["leverage"]
+    if (name, command) == ("z-span", "estimate"):
+        assert json.loads(out)["objective"] == 1.7976931348623155e+308
+
+
 def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):
     # Projection statistics need no column rank, unlike estimate and detect.
     mpath = tmp_path / "rank1.json"

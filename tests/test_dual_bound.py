@@ -13,7 +13,6 @@ from lavse import (
     MeasurementModel,
     detect_all,
     fixture_model,
-    leverage_oracle,
     load_model,
     resolve_partition,
 )
@@ -28,6 +27,7 @@ from lavse.leverage import (
     classify,
 )
 
+from oracles import leverage_oracle
 from test_meshes import _bench_inputs, mesh_model, row_witnesses
 from test_model import THREE_BUS_H
 from test_properties import SETTINGS, integer_models

@@ -8,8 +8,6 @@ from lavse import (
     MaxIterations,
     MeasurementModel,
     RankDeficient,
-    TooLarge,
-    lav_vertex_oracle,
     matrix_rank,
     objective_at,
     solve_lav,
@@ -17,6 +15,7 @@ from lavse import (
 from lavse import lav
 from lavse.lav import simplex
 
+from oracles import TooLarge, lav_vertex_oracle
 from test_model import THREE_BUS_H, three_bus_model
 
 

@@ -10,7 +10,9 @@ from lavse import (
     IndexOutOfRange,
     InvalidArgument,
     LEVERAGE,
+    LeverageWitness,
     MeasurementModel,
+    NonFinite,
     Partition,
     RankDeficient,
     combination_count,
@@ -19,7 +21,6 @@ from lavse import (
     detect_row,
     fixture_model,
     leverage_margin,
-    leverage_oracle,
     matrix_rank,
     partitions_from_dict,
     resolve_partition,
@@ -30,6 +31,7 @@ from lavse import cli
 from lavse.experiments import ieee14_partitions
 from lavse.leverage import _support_components, classify
 
+from oracles import leverage_oracle
 from test_meshes import mesh_model
 from test_model import three_bus_model
 
@@ -76,6 +78,22 @@ class TestDetectRow:
         assert w.s == pytest.approx(1.0, abs=1e-12)
         assert w.q == pytest.approx(100.0, abs=1e-12)
         assert classify(w) == LEVERAGE
+
+    @pytest.mark.parametrize("s,q,verdict", [
+        (np.inf, 1.0, CLEAN),  # s alone overflowed: mu = -inf
+        (1.0, 0.0, CLEAN),
+        (np.nan, np.nan, CLEAN),  # a row that vanished under its block's scaling
+        (1.0, np.inf, None),  # q overflowed: mu is NaN
+        (np.inf, np.inf, None),
+        (np.nan, 1.0, None),
+    ])
+    def test_margin_beyond_float_range(self, s, q, verdict):
+        w = LeverageWitness(row_index=0, basis=(), v=np.ones(1), s=s, q=q)
+        if verdict is None:
+            with pytest.raises(NonFinite):
+                classify(w)
+        else:
+            assert classify(w) == verdict
 
     def test_three_bus_first_row_clean(self):
         model = three_bus_model()

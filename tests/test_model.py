@@ -7,7 +7,6 @@ import pytest
 
 import lavse
 from lavse import (
-    DegenerateBasis,
     DimensionMismatch,
     InvalidArgument,
     MeasurementModel,
@@ -15,10 +14,11 @@ from lavse import (
     ParseError,
     RankDeficient,
     matrix_rank,
-    nullspace_unit_vector,
     projection_matrix,
     validate_model,
 )
+
+from oracles import DegenerateBasis, nullspace_unit_vector
 
 THREE_BUS_H = np.array(
     [[10, -10], [1, 0], [-1, 0], [0, -1], [0, 1], [11, -10], [-1, -1]], dtype=float

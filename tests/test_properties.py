@@ -15,15 +15,14 @@ from lavse import (
     detect_all,
     fixture_model,
     leverage_margin,
-    leverage_oracle,
     matrix_rank,
-    nullspace_unit_vector,
     leverage,
     solve_lav,
 )
 from lavse.leverage import _support_components, classify
 from lavse.power import FIXTURES
 
+from oracles import leverage_oracle, nullspace_unit_vector
 from test_meshes import mesh_model, row_witnesses
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
