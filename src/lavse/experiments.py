@@ -303,7 +303,6 @@ class PSComparison:
     computed_flagged: tuple[int, ...]
     reference_ps: tuple[float, ...]
     reference_flagged: tuple[int, ...]
-    variant: str
     passed: bool
 
     def render(self) -> str:
@@ -342,7 +341,6 @@ def reproduce_table2() -> PSComparison:
         computed_flagged=flagged,
         reference_ps=ref_ps,
         reference_flagged=PS_REFERENCE_FLAGGED,
-        variant=report.variant,
         passed=passed,
     )
 

@@ -103,14 +103,18 @@ def _finish(model: MeasurementModel, theta: np.ndarray, iterations: int,
 def solve_lav(model: MeasurementModel) -> LavSolution:
     """Globally minimize the sum of absolute residuals: ``simplex`` of one fit.
 
-    Raises NonFinite when theta or the objective lies beyond float range.
+    Raises NonFinite when theta or the objective lies beyond float range:
+    when either overflows, or when a state underflows, which leaves some
+    basis row of the vertex unfitted.
     """
     validate_model(model)
-    theta, _, iterations, degenerate = simplex(model.h[None], model.z[None])
+    theta, basis, iterations, degenerate = simplex(model.h[None], model.z[None])
     with np.errstate(over="ignore", invalid="ignore"):
         sol = _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
     if not (np.isfinite(sol.theta_hat).all() and np.isfinite(sol.objective)):
         raise NonFinite(f"the fit lies beyond float range: objective {sol.objective}")
+    if (np.abs(sol.theta_hat) < np.finfo(float).tiny).any() and not np.isin(basis, sol.zero_set).all():
+        raise NonFinite("the fit lies beyond float range: a state underflows")
     return sol
 
 

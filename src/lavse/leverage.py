@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -147,8 +147,9 @@ class LeverageReport:
 
     rows_certified counts the rows proven clean by their dual bound, which
     get no fit; combos_examined counts the simplex pivots summed over the
-    fits of the other rows, and combos_skipped_degenerate is always 0.  The
-    last two keep the names of the basis-scan counters they replace.
+    fits of the other rows, and the class constant combos_skipped_degenerate
+    is 0.  The last two keep the names of the basis-scan counters they
+    replace.
     witnesses holds the flagged rows' witnesses, by increasing row index.
     """
 
@@ -156,8 +157,8 @@ class LeverageReport:
     verdicts: list[str]
     witnesses: dict[int, LeverageWitness]
     combos_examined: int
-    combos_skipped_degenerate: int = 0
     rows_certified: int = 0
+    combos_skipped_degenerate: ClassVar[int] = 0
 
     def flagged_rows(self) -> list[int]:
         return [i for i, v in enumerate(self.verdicts) if v in (LEVERAGE, BOUNDARY)]
@@ -266,7 +267,8 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
             v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
             proj = np.abs(hs @ vp[..., None])[..., 0]
             q[part] = np.ldexp(proj[f, j], exponent[:, 0, 0])
-            s[part] = np.ldexp(proj.sum(axis=1) - proj[f, j], exponent[:, 0, 0])
+            proj[f, j] = 0.0  # s sums the other rows, so no q can cancel them away
+            s[part] = np.ldexp(proj.sum(axis=1), exponent[:, 0, 0])
         basis[part] = others[f[:, None], tight]
     return v, s, q, basis, pivots
 

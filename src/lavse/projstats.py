@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,10 +51,10 @@ class PSReport:
     dof: np.ndarray
     cutoff: np.ndarray
     flagged: np.ndarray
-    variant: str
     directions_used: int
     directions_skipped: int
     degenerate: bool
+    variant: ClassVar[str] = PS_VARIANT
 
     def to_dict(self) -> dict:
         return {
@@ -80,19 +81,20 @@ class PSReport:
         return "\n".join(lines)
 
 
-def chi2_quantile(d: int, p: float = 0.975) -> float:
-    """p-quantile of the chi-square distribution with d degrees of freedom.
+def chi2_quantile(d: int) -> float:
+    """0.975-quantile of the chi-square distribution with d degrees of freedom.
 
-    Computed as twice the inverse of the regularized incomplete gamma
-    function at a = d/2, with scalar ``math`` arithmetic (see
-    ``_gamma_quantile``).
+    The cutoff level of projection statistics (``PS_VARIANT``), computed as
+    twice the inverse of the regularized incomplete gamma function at
+    a = d/2, with scalar ``math`` arithmetic (see ``_gamma_quantile``).
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidArgument(f"degrees of freedom must be a positive integer, got {d!r}")
-    if not 0.0 < p < 1.0:
-        raise InvalidArgument(f"quantile level must lie in (0, 1), got {p!r}")
-    return 2.0 * _gamma_quantile(int(d), float(p))
+    return 2.0 * _gamma_quantile(int(d))
 
+
+# The upper tail 1 - 0.975 of the cutoff level.
+_TAIL = 1.0 - 0.975
 
 # ln Gamma(a + 1) = a ln a - a + ln(2 pi a) / 2 + sum_k B_2k / (2k (2k - 1) a^(2k - 1)):
 # the Stirling coefficients for k = 1..7.  For a >= _STIRLING_MIN the first
@@ -100,7 +102,7 @@ def chi2_quantile(d: int, p: float = 0.975) -> float:
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _STIRLING_MIN = 10.0
 
-# A series ends at a term below _SUM_EPS times its partial sum.  The root
+# A sum ends at a term below _SUM_EPS times its partial sum.  The root
 # search ends at a Halley step below _STEP_TOL times the iterate: the error
 # left after that step is of the order of the step cubed.
 _SUM_EPS = 1e-17
@@ -109,18 +111,13 @@ _MAX_STEPS = 200
 
 
 @functools.lru_cache(maxsize=256)
-def _gamma_quantile(d: int, p: float) -> float:
-    """The y with P(d/2, y) = p, P the regularized lower incomplete gamma function.
+def _gamma_quantile(d: int) -> float:
+    """The y with Q(d/2, y) = 1 - 0.975, Q the regularized upper incomplete gamma function.
 
-    For p <= 1/2 the root search solves P(a, y) / p = 1, with P from its
-    power series.  Above 1/2 it solves Q(a, y) = 1 - p, which is exact
-    there, with Q = 1 - P in closed form: a = d/2 is an integer or a
-    half-integer, so Q is a finite sum plus, for half-integer a,
-    erfc(sqrt(y)).  So neither tail loses digits to cancellation, and no
-    term underflows near the root even for p far below 1e-300.  Halley
-    steps keep a bracket of the root and bisect it when a step leaves it.
-    They start from the Wilson-Hilferty value, or on the lower branch from
-    the bound (p Gamma(a + 1))^(1/a) when that is larger.
+    Q is in closed form: a = d/2 is an integer or a half-integer, so Q is a
+    finite sum plus, for half-integer a, erfc(sqrt(y)).  So the tail loses
+    no digits to cancellation.  Halley steps start from the Wilson-Hilferty
+    value, keep a bracket of the root and bisect it when a step leaves it.
 
     Cached, since a caller asks for a few dof levels over and over.
     """
@@ -130,23 +127,12 @@ def _gamma_quantile(d: int, p: float) -> float:
     else:
         log_scale = -0.5 * math.log(2.0 * math.pi * a) - sum(
             c / a ** (2 * k + 1) for k, c in enumerate(_STIRLING))
-    lower = p <= 0.5
-    q = 1.0 - p
-    log_unit = math.log(p) if lower else 0.0
 
     def residual(y: float, pre: float) -> float:
-        """P/p - 1 on the lower branch, 1 - p - Q on the upper: increasing in y."""
-        total = term = 1.0
-        if lower:
-            n = a
-            while term > _SUM_EPS * total:
-                n += 1.0
-                term *= y / n
-                total += term
-            return pre * total - 1.0
+        """1 - 0.975 - Q(a, y): increasing in y."""
         # Q(a, y) = Q(a - k, y) + pre * sum_{i=1..k} prod_{m<i} (a - m) / y,
         # with k the integer part of a, Q(0, y) = 0 and Q(1/2, y) = erfc(sqrt(y)).
-        total = 0.0
+        total, term = 0.0, 1.0
         m = a
         while m >= 1.0:
             term *= m / y
@@ -155,27 +141,19 @@ def _gamma_quantile(d: int, p: float) -> float:
                 break
             m -= 1.0
         base = math.erfc(math.sqrt(y)) if d % 2 else 0.0
-        return q - base - pre * total
+        return _TAIL - base - pre * total
 
     # z from Abramowitz & Stegun 26.2.23, to 4.5e-4.
-    t = math.sqrt(-2.0 * math.log(p if lower else q))
+    t = math.sqrt(-2.0 * math.log(_TAIL))
     z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
         1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t * t * t)
     w = 2.0 / (9.0 * d)
-    cube = 1.0 - w + (-z if lower else z) * math.sqrt(w)
-    y = 0.5 * d * cube**3 if cube > 0.0 else 0.0
-    if lower:
-        # P(a, y) <= y^a / Gamma(a + 1), so this bound lies at or below the root.
-        y = max(y, math.exp((log_unit + math.lgamma(a + 1.0)) / a))
-    if y == 0.0:
-        return 0.0   # the root underflows
+    y = 0.5 * d * (1.0 - w + z * math.sqrt(w))**3
 
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_STEPS):
-        # y^a e^-y / Gamma(a + 1), over p on the lower branch; in this form
-        # no large logarithms cancel.  The cap only binds far above a root
-        # with p below 1e-300, where the bracket decides the next step.
-        pre = math.exp(min(a * math.log(y / a) + (a - y) + log_scale - log_unit, 700.0))
+        # y^a e^-y / Gamma(a + 1); in this form no large logarithms cancel.
+        pre = math.exp(a * math.log(y / a) + (a - y) + log_scale)
         g = residual(y, pre)
         if g > 0.0:
             hi = y
@@ -250,7 +228,6 @@ def compute_ps(model: MeasurementModel) -> PSReport:
         dof=dof,
         cutoff=cutoff,
         flagged=flagged,
-        variant=PS_VARIANT,
         directions_used=used,
         directions_skipped=skipped,
         degenerate=degenerate,

@@ -256,6 +256,21 @@ class TestReproduce:
     def test_mc_small(self, capsys):
         assert cli.main(["reproduce", "mc", "--trials", "200", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("target", ["table1", "table2", "table4", "mc"])
+    def test_stdout_matches_golden_file(self, target, capsys):
+        """The stdout of each reproduction is its file in tests/golden, byte for byte.
+
+        Regenerate the files only for a deliberate change of output, and
+        list the change in CHANGES.md:
+
+            for t in table1 table2 table4 mc; do
+              PYTHONPATH=src python -m lavse.cli reproduce $t > tests/golden/reproduce_$t.txt
+            done
+        """
+        assert cli.main(["reproduce", target]) == 0
+        golden = Path(__file__).resolve().parent / "golden" / f"reproduce_{target}.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     @pytest.mark.parametrize("target, flag", [
         ("table1", ["--trials", "0"]), ("table1", ["--out", "{out}"]),
         ("table2", ["--seed", "3"]), ("table2", ["--out", "{out}"]),
@@ -476,6 +491,21 @@ def test_estimate_beyond_float_range_exits_3(fmt, tmp_path, capsys):
         assert cli.main(["estimate", str(_probe(tmp_path, 1e-308)), "--format", fmt]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h,z", [([[1.7976931348623157e308], [1], [1]], [1e-20, 0, 0]),
+                                 ([[1e300], [1], [-1]], [1e-30, 0, 0])])
+def test_estimate_with_underflowing_state_exits_3(h, z, tmp_path, capsys):
+    # The optimum fits row 0, at theta = z_0 / h_0 below the smallest subnormal;
+    # theta = 0 would print a wrong objective.  detect needs no theta.
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "H": h, "z": z}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["estimate", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert cli.main(["detect", str(path)]) == 0
 
 
 # Well-formed documents whose entries span the float range, with the exit

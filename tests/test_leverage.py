@@ -274,6 +274,20 @@ def test_verdicts_invariant_under_scaling_h(c):
             == detect_partitioned(model, parts).merged_verdicts)
 
 
+
+@pytest.mark.parametrize("h,row,s", [
+    # The one-column-span document of test_cli.EDGE_DOCUMENTS.
+    ([[4.948612551190319e+16], [5.0562961977149144e-213], [3.619594960314317e-104],
+      [1.0687246164638938e+16], [-8.568588166909925e+120]], 4, 6.017337167654213e+16),
+    # 1e-310, rounded once at subnormal spacing by the power-of-two scaling.
+    ([[1, 0], [0, 1], [1e-310, 1e-310]], 0, 1.00000000000005e-310),
+    ([[1, 0], [0, 1], [1e-310, 1e-310]], 1, 1.00000000000005e-310),
+    ([[1.7976931348623157e308], [1], [1]], 0, 2.0),
+])
+def test_witness_s_sums_the_other_rows(h, row, s):
+    # A q that dwarfs the other rows must not cancel them away from s.
+    assert detect_all(model_of(h)).witnesses[row].s == s
+
 class TestLeverageMargin:
     def test_sign_agrees_with_flag(self):
         rng = np.random.default_rng(47)

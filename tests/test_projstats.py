@@ -40,7 +40,7 @@ def ps_reference(h):
             continue
         used += 1
         np.maximum(best, dev / (1.4826 * mad), out=best)
-    cutoff = np.array([chi2_quantile(int(d), 0.975) for d in np.count_nonzero(h, axis=1)])
+    cutoff = np.array([chi2_quantile(int(d)) for d in np.count_nonzero(h, axis=1)])
     return best**2, cutoff, used, skipped
 
 
@@ -64,25 +64,19 @@ def random_models(seed, count):
 
 class TestChi2Quantile:
     def test_two_dof_closed_form(self):
-        # d = 2 has the closed form -2 ln(1 - p): an independent cross-check.
-        for p in (0.5, 0.9, 0.975, 0.999):
-            assert chi2_quantile(2, p) == pytest.approx(-2.0 * math.log(1.0 - p), abs=1e-10)
+        # d = 2 has the closed form -2 ln(1 - 0.975): an independent cross-check.
+        assert chi2_quantile(2) == pytest.approx(-2.0 * math.log(1.0 - 0.975), abs=1e-10)
 
     def test_reference_values(self):
         # Standard table values.
-        assert chi2_quantile(1, 0.975) == pytest.approx(5.02389, abs=1e-3)
-        assert chi2_quantile(2, 0.975) == pytest.approx(7.37776, abs=1e-3)
-        assert chi2_quantile(3, 0.975) == pytest.approx(9.34840, abs=1e-3)
-        assert chi2_quantile(5, 0.975) == pytest.approx(12.8325, abs=1e-3)
-        assert chi2_quantile(10, 0.975) == pytest.approx(20.4832, abs=1e-3)
+        assert chi2_quantile(1) == pytest.approx(5.02389, abs=1e-3)
+        assert chi2_quantile(2) == pytest.approx(7.37776, abs=1e-3)
+        assert chi2_quantile(3) == pytest.approx(9.34840, abs=1e-3)
+        assert chi2_quantile(5) == pytest.approx(12.8325, abs=1e-3)
+        assert chi2_quantile(10) == pytest.approx(20.4832, abs=1e-3)
 
-    def test_small_p_limit(self):
-        assert chi2_quantile(2, 1e-12) < 1e-10
-
-    def test_monotone_in_d_and_p(self):
-        values = [chi2_quantile(d, 0.975) for d in range(1, 12)]
-        assert all(a < b for a, b in zip(values, values[1:]))
-        values = [chi2_quantile(3, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    def test_monotone_in_d(self):
+        values = [chi2_quantile(d) for d in range(1, 12)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_scipy_inverse_gamma(self):
@@ -90,30 +84,15 @@ class TestChi2Quantile:
         # this grid both are within 25 ulps of 40-digit mpmath values.
         from scipy import special
 
-        levels = [1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.975, 0.999, 1 - 1e-9]
-        worst = 0.0
-        for d in range(1, 201):
-            expect = 2.0 * special.gammaincinv(d / 2.0, levels)
-            got = np.array([chi2_quantile(d, p) for p in levels])
-            worst = max(worst, float(np.max(np.abs(got - expect) / expect)))
-        assert worst <= 1e-13
-
-    def test_extreme_lower_tail(self):
-        # Closed form for d = 2, down to the smallest subnormal p; and a
-        # large d, whose terms there underflow unless scaled by p (the value
-        # is from 30-digit mpmath; scipy's gammaincinv is 2e-6 off there).
-        for p in (1e-300, 2.3e-308, 5e-324):
-            assert chi2_quantile(2, p) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-13)
-        assert chi2_quantile(1, 1e-300) == 0.0   # the quantile, about 1.6e-600, underflows
-        assert chi2_quantile(10**6, 5e-324) == pytest.approx(946580.2171522403, rel=1e-13)
+        dofs = np.arange(1, 201)
+        expect = 2.0 * special.gammaincinv(dofs / 2.0, 0.975)
+        got = np.array([chi2_quantile(int(d)) for d in dofs])
+        assert np.max(np.abs(got - expect) / expect) <= 1e-13
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidArgument):
-            chi2_quantile(0, 0.975)
-        with pytest.raises(InvalidArgument):
-            chi2_quantile(2, 0.0)
-        with pytest.raises(InvalidArgument):
-            chi2_quantile(2, 1.0)
+        for d in (0, -1, 2.0):
+            with pytest.raises(InvalidArgument):
+                chi2_quantile(d)
 
 
 class TestComputePs:
