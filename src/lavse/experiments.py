@@ -16,9 +16,9 @@ from the table's own internal sum identity rather than assuming it.
 Both studies run their fits in stacks.  Table 1 detects the clean and the
 corrupted 14-bus model, each from its own matrix, in one call of
 ``detect_partitioned_many``.  The extra-row study draws all its trials
-first and stacks their augmented matrices as one (T, M+1, N) array, up to
-_MC_STACK trials at a time; it then solves their leverage fits as one
-stack and their LAV fits as another, straight from the arrays, with no
+first and stacks their augmented matrices as (T, M+1, N) arrays of
+``model.stack_slices``; it then solves each stack's leverage fits as one
+stack and its LAV fits as another, straight from the arrays, with no
 per-trial model or solution object.  ``single_trial`` is a batch of one of
 the same code.
 """
@@ -49,7 +49,7 @@ from .leverage import (
     leverage_margin,  # traced
     leverage_margins,
 )
-from .model import MeasurementModel, validate_model
+from .model import MeasurementModel, stack_slices, validate_model
 from .power import GrossErrorSpec, fixture_model, inject_gross_errors
 from .projstats import compute_ps
 
@@ -229,11 +229,14 @@ class SweepResult:
 
 
 def sweep_values(model: MeasurementModel, direction) -> tuple[np.ndarray, np.ndarray]:
-    """(lemma_s, lemma_q) per row for one direction."""
+    """(lemma_s, lemma_q) per row for one direction.
+
+    Row j's s sums the other rows' terms, its own zeroed, so no q can
+    cancel them away.
+    """
     v = np.asarray(direction, dtype=float)
     proj = np.abs(model.h @ v)
-    total = proj.sum()
-    return total - proj, proj
+    return np.where(np.eye(proj.size, dtype=bool), 0.0, proj).sum(axis=1), proj
 
 
 def sweep_column_consistency(pairs: Sequence[tuple[float, float]]) -> float:
@@ -483,10 +486,6 @@ def reproduce_table1() -> Ieee14Result:
 # Trials and seed of ``reproduce_mc`` when none are given.
 MC_TRIALS = 2000
 MC_SEED = 20260809
-# Trials run together as one stack of leverage fits and one of LAV fits;
-# more trials run as several such stacks, which bounds the memory a run
-# holds beyond its records.
-_MC_STACK = 4096
 ROW_VARIANCE = 30.0
 STATE_VARIANCE = 1.0
 GROSS_ERROR = 10.0
@@ -551,22 +550,22 @@ def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord
     """Seeded trials of ``single_trial`` on the 3-bus model; optionally emits a CSV.
 
     All the trials are drawn first and then run together (``_trials``),
-    up to _MC_STACK at a time.  CSV columns: h81, h82, flagged, deviated,
-    margin.
+    in stacks of ``stack_slices``, a trial being its (M+1) x N floats.  CSV
+    columns: h81, h82, flagged, deviated, margin.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
     if seed < 0:
         raise InvalidArgument("seed must be >= 0")
     base = fixture_model("threebus-dc")
-    rng = np.random.default_rng(seed)
-    extras, thetas = [], []
-    for _ in range(trials):
-        extras.append(rng.normal(0.0, math.sqrt(ROW_VARIANCE), size=base.n))
-        thetas.append(rng.normal(0.0, math.sqrt(STATE_VARIANCE), size=base.n))
+    # Trial k draws its extra row, then its state: the stream of one
+    # rng.normal call of each per trial, bit for bit.
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, base.n))
+    extras = math.sqrt(ROW_VARIANCE) * draws[:, 0]
+    thetas = math.sqrt(STATE_VARIANCE) * draws[:, 1]
     records = []
-    for start in range(0, trials, _MC_STACK):
-        records += _trials(base, extras[start:start + _MC_STACK], thetas[start:start + _MC_STACK])
+    for part in stack_slices(trials, draws.itemsize * (base.m + 1) * base.n):
+        records += _trials(base, extras[part], thetas[part])
     if csv_path is not None:
         write_mc_csv(records, seed, csv_path)
     return records

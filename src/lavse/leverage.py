@@ -36,7 +36,7 @@ margin (q - s)/q is at most 1 - lam.  The hat matrix P = Q Q^T of a block
 u_i = P_ji / max_{i != j} |P_ji| and lam = (1 - P_jj) / max_{i != j} |P_ji|.
 A row whose lam is at least 1 + 1e-6, and whose multipliers meet the
 equality up to rounding, is certified clean (``_dual_bounds``).  Only the
-other rows go to the simplex, in stacks of at most _BATCH_BYTES.
+other rows go to the simplex, in the stacks of ``model.stack_slices``.
 
 Blocks of one shape are screened and fitted together, across the blocks
 of a model, the partitions of ``detect_partitioned`` and all the models
@@ -70,6 +70,7 @@ from .model import (
     oriented,
     pow2_scaled,
     read_json,
+    stack_slices,
     string,
     validate_model,
 )
@@ -83,13 +84,6 @@ CLEAN = "clean"
 # or a near miss) when -_TIE <= mu < _STRICT, clean below.
 _STRICT = 1e-6
 _TIE = 1e-9
-
-# Bytes of per-row systems that ``detect_all`` stacks into one simplex call,
-# each counted as its block's M x N floats; a larger block is solved in
-# several stacks, which bounds the memory of whole-model detection.  The
-# same budget bounds the rows of the hat matrix held at once by
-# ``_dual_bounds``, each M floats.
-_BATCH_BYTES = 1 << 20
 
 # A row is proven clean, without a fit, when its dual bound lam on s/q is
 # at least _CERTIFY: then mu <= 1 - lam <= -1e-6, three orders of magnitude
@@ -106,7 +100,7 @@ def combination_count(m: int, n: int) -> int:
     Arbitrary-precision; this is the quantity that explodes for large
     systems and that the per-row LAV fit avoids enumerating.
     """
-    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (m, n)):
         raise InvalidArgument("m and n must be integers")
     if not m >= n >= 1:
         raise InvalidArgument(f"need m >= n >= 1, got m={m}, n={n}")
@@ -217,7 +211,7 @@ def _graded(witness: Optional[LeverageWitness]) -> tuple[float, Optional[Leverag
 
 
 def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fit row rows[i] of h[fit[i]] for every i, in stacks of at most _BATCH_BYTES.
+    """Fit row rows[i] of h[fit[i]] for every i, in stacks of ``stack_slices``.
 
     Returns each fit's unit null vector v, both sides s and q of the
     inequality, its N-1 basis rows (indices into h's rows) and its pivots.
@@ -239,9 +233,7 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     v, s, q = np.empty((fits, n)), np.empty(fits), np.empty(fits)
     basis = np.empty((fits, n - 1), dtype=np.intp)
     pivots = np.empty(fits, dtype=np.intp)
-    batch = max(1, _BATCH_BYTES // (h.itemsize * m * n))  # fits per stack
-    for start in range(0, fits, batch):
-        part = slice(start, start + batch)
+    for part in stack_slices(fits, h.itemsize * m * n):  # a fit is its block's M x N floats
         # This stack's matrices, scaled so that neither the fit nor v depends
         # on the scale of h, and its rows.
         hs, exponent = pow2_scaled(h[fit[part]], (1, 2))
@@ -293,8 +285,8 @@ def _dual_bounds(h: np.ndarray) -> np.ndarray:
     P_ji are all rounding; there d is near 1.  Such rows, and rows whose lam
     is NaN or infinite, get NaN.
 
-    Each product takes the same rows of a matrix's P as for that matrix
-    alone, with as many matrices side by side as _BATCH_BYTES allows, so a
+    Each product takes whole P side by side (``stack_slices``), or rows of
+    one P that alone exceeds the budget: the rows it takes alone, so a
     matrix's bounds do not depend on the others in its stack.
     """
     m, n = h.shape[-2:]
@@ -302,13 +294,9 @@ def _dual_bounds(h: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(stack)
     r_inv = np.linalg.inv(r)
     lam = np.empty(stack.shape[:2])
-    chunk = max(1, _BATCH_BYTES // (h.itemsize * m))  # rows of one P per product
-    width = max(1, _BATCH_BYTES // (h.itemsize * m * min(chunk, m)))  # matrices per product
-    for first in range(0, stack.shape[0], width):
-        b = slice(first, first + width)
+    for b in stack_slices(stack.shape[0], h.itemsize * m * m):  # whole hat matrices
         q_t = q[b].transpose(0, 2, 1)
-        for start in range(0, m, chunk):
-            rows = slice(start, start + chunk)
+        for rows in stack_slices(m, h.itemsize * m):  # all rows, unless one P is too large
             # A copy: numpy sends the product of an array with its own
             # transpose to a symmetric kernel, which rounds otherwise.
             p = q[b, rows].copy() @ q_t

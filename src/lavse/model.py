@@ -193,6 +193,17 @@ def pow2_scaled(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(a, -exponent), exponent
 
 
+# Bytes that one stacked numpy call holds at once: of per-row leverage
+# fits, of hat matrices or rows of one, of extra-row trials.
+_STACK_BYTES = 1 << 20
+
+
+def stack_slices(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), of max(1, _STACK_BYTES // item_bytes) items each."""
+    size = max(1, _STACK_BYTES // item_bytes)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def oriented(v: np.ndarray) -> np.ndarray:
     """v or -v, whichever has its first nonzero component positive; each row of a 2-D v."""
     rows = np.atleast_2d(v)
@@ -240,13 +251,17 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def read_json(path):
-    """The JSON value in the file at path; malformed JSON or undecodable bytes raise ParseError."""
+    """The JSON value in the file at path.
+
+    Malformed JSON, undecodable bytes or nesting deeper than the decoder's
+    recursion limit raise ParseError.
+    """
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
-    except UnicodeDecodeError as err:
+    except (UnicodeDecodeError, RecursionError) as err:
         raise ParseError(str(err)) from None
 
 

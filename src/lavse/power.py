@@ -53,8 +53,6 @@ _KINDS = {
     "iinj_im": ("re", "inj", 1.0),
     "vre": ("re", "bus", 1.0),
 }
-DC_KINDS = {kind for kind, (block, _, _) in _KINDS.items() if block in ("theta", "vm")}
-PMU_KINDS = set(_KINDS) - DC_KINDS
 _STATE_LABELS = {"theta": "theta_{}", "vm": "vm_{}", "im": "v{}_im", "re": "v{}_re"}
 
 FIXTURES = ("threebus-dc", "threebus-pmu", "ieee14-dc")

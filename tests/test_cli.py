@@ -449,18 +449,25 @@ PATH_CASES = [
     pytest.param(["estimate", "{latin1}"], id="estimate-not-utf8"),
     pytest.param(["build", "{latin1}", "--model", "dc"], id="build-not-utf8"),
     pytest.param(["detect", "{model}", "--partitions", "{latin1}"], id="detect-partitions-not-utf8"),
+    pytest.param(["estimate", "{deep}"], id="estimate-deep"),
+    pytest.param(["detect", "{deep}"], id="detect-deep"),
+    pytest.param(["build", "{deep}", "--model", "dc"], id="build-deep"),
+    pytest.param(["detect", "{model}", "--partitions", "{deep}"], id="detect-partitions-deep"),
 ]
 
 
 @pytest.mark.parametrize("argv", PATH_CASES)
 def test_unusable_path_exits_2(argv, tmp_path, capsys):
-    # A path that cannot be read or written, or a file that is not UTF-8,
-    # is a parse error like a malformed document.
+    # A path that cannot be read or written, a file that is not UTF-8, or
+    # JSON nested deeper than the decoder recurses, is a parse error like a
+    # malformed document.
     model = tmp_path / "model.json"
     lavse.save_model(lavse.fixture_model("threebus-dc"), model)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"labels": ["\u00e9"]}'.encode("latin-1"))
-    code = cli.main([a.format(dir=tmp_path, model=model, latin1=latin1) for a in argv])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code = cli.main([a.format(dir=tmp_path, model=model, latin1=latin1, deep=deep) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("parse error: ") and "Traceback" not in err

@@ -31,6 +31,13 @@ from lavse.experiments import (
 
 
 class TestDirectionSweep:
+    def test_s_sums_the_other_rows(self):
+        # A q that dwarfs the other rows does not cancel them out of s.
+        model = MeasurementModel(np.array([[1e17], [1.0], [1.0]]), np.zeros(3), ("a", "b", "c"))
+        s, q = sweep_values(model, [1.0])
+        assert s.tolist() == [2.0, 1e17, 1e17]
+        assert q.tolist() == [1e17, 1.0, 1.0]
+
     def test_spec_cells(self):
         model = fixture_model("threebus-dc")
         # second row against the (0, 1) direction
@@ -198,10 +205,12 @@ class TestMonteCarlo:
         alone = [single_trial(base, extra, theta) for extra, theta in draws]
         assert bits(run_monte_carlo(50, 99)) == bits(alone)
         calls.clear()
-        monkeypatch.setattr(experiments, "_MC_STACK", 20)  # stacks of 20, 20 and 10 trials
-        assert bits(run_monte_carlo(50, 99)) == bits(alone)
-        assert calls == [(module, size) for size in (20, 20, 10)
-                         for module in ("lavse.leverage", "lavse.experiments")]
+        with monkeypatch.context() as budget:
+            # A trial is its (M+1) x N floats: stacks of 20, 20 and 10 trials.
+            budget.setattr("lavse.model._STACK_BYTES", 20 * (base.m + 1) * base.n * 8)
+            assert bits(run_monte_carlo(50, 99)) == bits(alone)
+            assert calls == [(module, size) for size in (20, 20, 10)
+                             for module in ("lavse.leverage", "lavse.experiments")]
         zero = (np.zeros(base.n), np.array([0.3, -1.2]))
         calls.clear()
         mixed = _trials(base, *zip(*draws[:7], zero, *draws[7:]))

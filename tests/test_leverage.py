@@ -66,6 +66,9 @@ class TestCombinationCount:
             combination_count(3, 4)
         with pytest.raises(InvalidArgument):
             combination_count(3, 0)
+        for m, n in [(True, True), (3, True), (True, 1)]:  # a boolean is not an integer
+            with pytest.raises(InvalidArgument):
+                combination_count(m, n)
 
 
 class TestDetectRow:

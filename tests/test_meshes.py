@@ -178,7 +178,7 @@ def test_block_split_across_stacks_gives_same_report(monkeypatch):
     monkeypatch.setattr(leverage, "simplex", counted)
     per_row = model.h.itemsize * model.m * model.n
     for cap, rows in [(1, 1), (3 * per_row, 3), (per_row * model.m, model.m)]:
-        monkeypatch.setattr(leverage, "_BATCH_BYTES", cap)
+        monkeypatch.setattr("lavse.model._STACK_BYTES", cap)
         calls.clear()
         split = detect_all(model)
         assert calls == [rows] * (fitted // rows) + ([fitted % rows] if fitted % rows else [])
@@ -261,7 +261,7 @@ def test_grouped_detection_equals_per_block(monkeypatch, case, rows_per_stack):
         return simplex(h, z)
 
     monkeypatch.setattr(leverage, "simplex", counted)
-    monkeypatch.setattr(leverage, "_BATCH_BYTES", cap)
+    monkeypatch.setattr("lavse.model._STACK_BYTES", cap)
     reports = detect_many(models)
     assert [_fields(r) for r in reports] == list(expected)
 

@@ -90,7 +90,7 @@ class TestChi2Quantile:
         assert np.max(np.abs(got - expect) / expect) <= 1e-13
 
     def test_invalid_arguments(self):
-        for d in (0, -1, 2.0):
+        for d in (0, -1, 2.0, True):
             with pytest.raises(InvalidArgument):
                 chi2_quantile(d)
 

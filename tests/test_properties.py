@@ -16,7 +16,6 @@ from lavse import (
     fixture_model,
     leverage_margin,
     matrix_rank,
-    leverage,
     solve_lav,
 )
 from lavse.leverage import _support_components, classify
@@ -130,7 +129,8 @@ def test_stacked_rows_equal_batch_of_one(model):
 def test_stack_split_keeps_report(model, rows_per_stack):
     whole = detect_all(model)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(leverage, "_BATCH_BYTES", rows_per_stack * model.h.itemsize * model.m * model.n)
+        mp.setattr("lavse.model._STACK_BYTES",
+                   rows_per_stack * model.h.itemsize * model.m * model.n)
         split = detect_all(model)
     assert split.verdicts == whole.verdicts
     assert split.combos_examined == whole.combos_examined
