@@ -28,7 +28,9 @@ from .errors import (
 )
 from .lav import solve_lav
 from .leverage import detect_all, detect_partitioned, load_partitions
-from .model import dump_json, format_matrix_csv, load_model, model_to_dict
+from .model import dump_json, dump_model, format_matrix_csv, load_model
+# Not called here; bench/spans.py wraps it as cli.model_to_dict, so it stays importable.
+from .model import model_to_dict  # traced
 from .power import FIXTURES, build_dc_model, build_pmu_model, fixture_network, load_network
 from .projstats import compute_ps
 
@@ -45,7 +47,7 @@ _NUMERIC_ERRORS = (RankDeficient, DisconnectedBus, EmptyPartition, NonFinite,
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -115,7 +117,7 @@ def cmd_build(args) -> int:
     builder = build_dc_model if args.model == "dc" else build_pmu_model
     model = builder(net)
     if args.format == "json":
-        _emit(dump_json(model_to_dict(model)), args.output)
+        _emit(dump_model(model), args.output)
     elif args.format == "csv":
         _emit(format_matrix_csv(model.h), args.output)
     else:

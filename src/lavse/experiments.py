@@ -572,7 +572,7 @@ def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord
 
 
 def write_mc_csv(records: Sequence[MCTrialRecord], seed: int, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# trials={len(records)} seed={seed} row_variance={ROW_VARIANCE} "
                  f"state_variance={STATE_VARIANCE} gross_error={GROSS_ERROR} "
                  f"deviation_tol={DEVIATION_TOL} boundary_band={BOUNDARY_BAND}\n")

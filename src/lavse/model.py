@@ -7,7 +7,11 @@ needs no synchronization.
 
 This module is also the package's one document layer.  ``read_json`` reads
 every JSON file (model, network and partition documents, and the bundled
-networks) and ``dump_json`` writes every one.  The model, network
+networks) and ``dump_json`` writes every one, as the same bytes as
+``json.dumps(doc, sort_keys=True)``.  ``dump_model`` writes a model
+document with those bytes too, but pays a ``repr`` for the nonzero entries
+of H alone, which in a power grid's H are a few per row.  Every file is
+read and written as UTF-8, whatever the locale.  The model, network
 (``power``) and partition (``leverage``) readers take their value checks
 from the same helpers: ``fields``, ``array``, ``string``, ``number``,
 ``numbers`` and ``integral``.
@@ -227,13 +231,13 @@ def format_matrix_csv(a: np.ndarray) -> str:
 
 
 def save_matrix_csv(a: np.ndarray, path) -> None:
-    Path(path).write_text(format_matrix_csv(a))
+    Path(path).write_text(format_matrix_csv(a), encoding="utf-8")
 
 
 def load_matrix_csv(path) -> np.ndarray:
     rows = []
     width = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -257,7 +261,7 @@ def read_json(path):
     recursion limit raise ParseError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
@@ -331,17 +335,41 @@ def integral(value, what: str) -> int:
     return value
 
 
-def model_to_dict(model: MeasurementModel) -> dict:
-    doc = {
-        "labels": list(model.labels),
-        "H": model.h.tolist(),
-        "z": model.z.tolist(),
-    }
+def _fields_besides_h(model: MeasurementModel) -> dict:
+    """The fields of model's document other than "H"."""
+    doc = {"labels": list(model.labels), "z": model.z.tolist()}
     if model.true_states is not None:
         doc["true_states"] = model.true_states.tolist()
     if model.state_labels is not None:
         doc["state_labels"] = list(model.state_labels)
     return doc
+
+
+def model_to_dict(model: MeasurementModel) -> dict:
+    return {"H": model.h.tolist(), **_fields_besides_h(model)}
+
+
+def _json_rows(a: np.ndarray) -> str:
+    """json.dumps(a.tolist()) for a 2-D float array, with repr called on its nonzero entries only.
+
+    json.dumps writes a float as its repr, so a zero is "0.0", or "-0.0"
+    when its sign bit is set.
+    """
+    m, n = a.shape
+    lines = [["0.0"] * n for _ in range(m)]
+    rows, cols = np.nonzero((a != 0) | np.signbit(a))
+    for i, j, x in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        lines[i][j] = repr(x)
+    return "[" + ", ".join(["[" + ", ".join(line) + "]" for line in lines]) + "]"
+
+
+def dump_model(model: MeasurementModel) -> str:
+    """dump_json(model_to_dict(model)) byte for byte, for the cost of H's nonzero entries.
+
+    "H" sorts before every lowercase key, so H's array opens the object and
+    the other fields follow as dump_json writes them.
+    """
+    return '{"H": ' + _json_rows(model.h) + ", " + dump_json(_fields_besides_h(model))[1:]
 
 
 def model_from_dict(doc: dict) -> MeasurementModel:
@@ -362,4 +390,4 @@ def load_model(path) -> MeasurementModel:
 
 
 def save_model(model: MeasurementModel, path) -> None:
-    Path(path).write_text(dump_json(model_to_dict(model)))
+    Path(path).write_text(dump_model(model), encoding="utf-8")

@@ -306,7 +306,7 @@ def load_network(path) -> NetworkModel:
 
 
 def save_network(net: NetworkModel, path) -> None:
-    Path(path).write_text(dump_json(network_to_dict(net)))
+    Path(path).write_text(dump_json(network_to_dict(net)), encoding="utf-8")
 
 
 def fixture_network(name: str) -> NetworkModel:

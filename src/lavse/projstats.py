@@ -23,10 +23,10 @@ from .model import MeasurementModel, pow2_scaled
 _MAD_SCALE = 1.4826
 
 # Directions projected per matrix product.  A speed tile, not a memory
-# bound, so not a ``stack_slices`` budget: on the seed-1 noisy 10x10 bench
-# meshes (230 x 99, 2 vCPU) 64-direction tiles took a median 1.71 ms per
-# ``compute_ps``, against 1.76 ms for all 230 directions in one product,
-# as a 1 MiB stack would take them.
+# bound, so not a ``stack_slices`` budget: on dense Gaussian 230 x 99
+# models, every direction in use (2 vCPU, one BLAS thread), 64-direction
+# tiles took a median 4.0 ms per ``compute_ps``, against 4.5 ms for all 230
+# directions in one product, as a 1 MiB stack would take them.
 _BLOCK = 64
 
 # A direction whose MAD is at most _MAD_FLOOR times its largest |projection|
@@ -48,7 +48,9 @@ class PSReport:
     ps > cutoff.  Directions whose projection spread (MAD) vanishes carry
     no information and are skipped; if every direction degenerates the
     statistics are undefined (NaN, written as null by ``to_dict``) and
-    ``degenerate`` is set.
+    ``degenerate`` is set.  A flat direction, on which more than half the
+    rows project to exactly 0 (most of a sparse grid model's), is skipped
+    before its medians are taken: both would be 0.
     """
 
     ps: np.ndarray
@@ -214,6 +216,9 @@ def compute_ps(model: MeasurementModel) -> PSReport:
     for start in range(0, live.size, _BLOCK):
         k = live[start:start + _BLOCK]
         proj = h @ (directions[k] / norms[k, None]).T
+        # Where more than half the projections are exactly 0, the median and
+        # the MAD are 0, so the test below would skip the direction anyway.
+        proj = proj[:, np.count_nonzero(proj, axis=0) >= (m + 1) // 2]
         dev = np.abs(proj - np.median(proj, axis=0))
         mad = np.median(dev, axis=0)
         ok = mad > _MAD_FLOOR * np.abs(proj).max(axis=0)

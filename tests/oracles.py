@@ -1,10 +1,11 @@
-"""Brute-force references for the LAV fit and the leverage test.
+"""Brute-force references for the LAV fit, the leverage test and projection statistics.
 
-Both enumerate candidate bases: ``lav_vertex_oracle`` solves every square
+Two enumerate candidate bases: ``lav_vertex_oracle`` solves every square
 subsystem of the fit, and ``leverage_oracle`` grades all C(M-1, N-1) bases
 of a row's inequality test.  That count is what the package avoids, so
 these live with the tests, guarded to small sizes, as the exact answers
-the simplex fits are checked against.
+the simplex fits are checked against.  ``ps_reference`` takes both medians
+of every projection direction, which ``compute_ps`` skips where they are 0.
 """
 
 import itertools
@@ -14,18 +15,22 @@ import numpy as np
 
 from lavse import (
     DimensionMismatch,
+    InvalidArgument,
     LavseError,
     LeverageWitness,
     LavSolution,
     MeasurementModel,
+    PSReport,
     RankDeficient,
+    chi2_quantile,
     matrix_rank,
     objective_at,
     validate_model,
 )
 from lavse.lav import _finish
 from lavse.leverage import _checked_row, _graded
-from lavse.model import RANK_TOL_FACTOR, oriented
+from lavse.model import RANK_TOL_FACTOR, oriented, pow2_scaled
+from lavse.projstats import _BLOCK, _MAD_FLOOR, _MAD_SCALE
 
 ORACLE_MAX_M = 20
 ORACLE_MAX_N = 4
@@ -129,3 +134,59 @@ def leverage_oracle(model: MeasurementModel, j: int) -> tuple[float, Optional[Le
             if best is None or w.margin() > best.margin():
                 best = w
     return _graded(best)
+
+
+def ps_reference(model: MeasurementModel) -> PSReport:
+    """Reference for ``compute_ps``: the same statistics, with both medians of every direction.
+
+    Candidate directions are the rows recentred at the coordinatewise
+    median; projections along each direction are standardized by the
+    scaled median absolute deviation, and each row keeps the square of its
+    worst standardized projection.  These ratios do not depend on the scale
+    of h, so they are computed on h scaled by a power of two, on which no
+    norm overflows.
+    """
+    m = model.m
+    if m < 2:
+        raise InvalidArgument("projection statistics need at least two rows")
+
+    dof = np.count_nonzero(model.h, axis=1)
+    zero_rows = np.flatnonzero(dof == 0)
+    if zero_rows.size:
+        raise InvalidArgument(f"row {model.labels[zero_rows[0]]!r} is all zero: "
+                              "projection statistics need a nonzero coefficient in every row")
+
+    h = pow2_scaled(model.h, None)[0]
+    center = np.median(h, axis=0)
+    directions = h - center
+    norms = np.linalg.norm(directions, axis=1)
+    scale = norms.max()
+    live = np.flatnonzero(norms > scale * 1e-12)
+
+    best = np.zeros(m)
+    used = 0
+    for start in range(0, live.size, _BLOCK):
+        k = live[start:start + _BLOCK]
+        proj = h @ (directions[k] / norms[k, None]).T
+        dev = np.abs(proj - np.median(proj, axis=0))
+        mad = np.median(dev, axis=0)
+        ok = mad > _MAD_FLOOR * np.abs(proj).max(axis=0)
+        used += int(np.count_nonzero(ok))
+        np.maximum(best, (dev[:, ok] / (_MAD_SCALE * mad[ok])).max(axis=1, initial=0.0),
+                   out=best)
+    skipped = m - used
+
+    levels, level_of_row = np.unique(dof, return_inverse=True)
+    cutoff = np.array([chi2_quantile(int(d)) for d in levels])[level_of_row]
+    degenerate = used == 0
+    ps = np.full(m, np.nan) if degenerate else best**2
+    flagged = np.zeros(m, dtype=bool) if degenerate else ps > cutoff
+    return PSReport(
+        ps=ps,
+        dof=dof,
+        cutoff=cutoff,
+        flagged=flagged,
+        directions_used=used,
+        directions_skipped=skipped,
+        degenerate=degenerate,
+    )

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lavse
 from lavse import (
@@ -17,8 +19,10 @@ from lavse import (
     projection_matrix,
     validate_model,
 )
+from lavse.model import dump_model, model_to_dict
 
 from oracles import DegenerateBasis, nullspace_unit_vector
+from test_meshes import _bench_inputs
 
 THREE_BUS_H = np.array(
     [[10, -10], [1, 0], [-1, 0], [0, -1], [0, 1], [11, -10], [-1, -1]], dtype=float
@@ -218,3 +222,43 @@ class TestFileFormats:
         path.write_text("1,2\n3\n")
         with pytest.raises(ParseError):
             lavse.load_matrix_csv(path)
+
+
+def expected_document(model):
+    return json.dumps(model_to_dict(model), sort_keys=True, allow_nan=False) + "\n"
+
+
+# Finite floats from the whole range, and the values at its ends.
+EDGE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1.79e308, -1.79e308, 1.7976931348623157e308]))
+
+
+@st.composite
+def sparse_models(draw):
+    """Models with a random zero mask on H, with and without the optional fields."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 8))
+    entries = draw(st.lists(EDGE_FLOATS, min_size=m * n, max_size=m * n))
+    zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=m * n, max_size=m * n))
+    h = np.array([x if zero is None else zero for x, zero in zip(entries, zeros)]).reshape(m, n)
+    labels = draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True))
+    states = draw(st.none() | st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+    state_labels = draw(st.none() | st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    z = draw(st.lists(EDGE_FLOATS, min_size=m, max_size=m))
+    return MeasurementModel(h, z, labels, states, state_labels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_models())
+def test_model_writer_is_byte_identical_to_json_dumps(model):
+    assert dump_model(model) == expected_document(model)
+
+
+def test_model_writer_on_fixtures_and_bench_mesh(tmp_path):
+    [mesh] = _bench_inputs().write_instances(tmp_path, 1, [(10, True)])
+    models = [lavse.fixture_model(name) for name in lavse.power.FIXTURES]
+    models += [lavse.load_model(mesh.model), lavse.build_dc_model(lavse.load_network(mesh.network)),
+               MeasurementModel([[-0.0, 1.0], [0.0, -0.0]], [0.0, -0.0], ("P_\u00fc1", "\u03b8"))]
+    for model in models:
+        assert dump_model(model) == expected_document(model)

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from lavse import InvalidArgument, MeasurementModel, chi2_quantile, compute_ps
+from lavse import (
+    InvalidArgument,
+    MeasurementModel,
+    chi2_quantile,
+    compute_ps,
+    fixture_model,
+    load_model,
+)
 
-from test_meshes import mesh_model
+from oracles import ps_reference
+from test_meshes import _bench_inputs, mesh_model
 from test_model import three_bus_model
 
 
@@ -16,7 +24,7 @@ def model_of(h):
     return MeasurementModel(h, np.zeros(h.shape[0]), tuple(f"r{i}" for i in range(h.shape[0])))
 
 
-def ps_reference(h):
+def ps_per_direction(h):
     """compute_ps as one direction at a time: (ps, cutoff, used, skipped)."""
     m = h.shape[0]
     center = np.median(h, axis=0)
@@ -176,7 +184,7 @@ class TestComputePs:
         degenerate = 0
         for h in [*random_models(11, 120), mesh_model(10, 1).h]:
             report = compute_ps(model_of(h))
-            ps, cutoff, used, skipped = ps_reference(h)
+            ps, cutoff, used, skipped = ps_per_direction(h)
             assert (report.directions_used, report.directions_skipped) == (used, skipped)
             assert report.degenerate == (used == 0)
             assert np.array_equal(report.cutoff, cutoff)
@@ -186,6 +194,35 @@ class TestComputePs:
             assert np.array_equal(report.flagged, ps > cutoff)
             assert np.allclose(report.ps, ps, rtol=1e-12, atol=0.0)
         assert 0 < degenerate < 60  # both outcomes are exercised
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 65, 130, 131])
+    def test_flat_directions_skip_exactly(self, m):
+        # Sparse rows make some directions flat (more than half the
+        # projections exactly 0) and leave others in use, in one block.
+        rng = np.random.default_rng(m)
+        flat_and_used = 0
+        for _ in range(40):
+            n = int(rng.integers(1, min(m, 8) + 1))
+            h = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.1, 0.9))
+            zero = ~h.any(axis=1)
+            h[zero, rng.integers(0, n, zero.sum())] = 1
+            model = model_of(h)
+            report = compute_ps(model)
+            assert report.to_dict() == ps_reference(model).to_dict()
+            d = h - np.median(h, axis=0)
+            flat = np.count_nonzero(h @ d.T, axis=0) < (m + 1) // 2
+            flat_and_used += bool(d[flat].any() and report.directions_used)
+        # Two rows cannot both be orthogonal to their nonzero difference, so
+        # at M = 2 no direction is flat.
+        assert flat_and_used > 0 or m == 2
+
+    def test_flat_directions_skip_exactly_on_grids(self, tmp_path):
+        meshes = _bench_inputs().write_instances(tmp_path, 1, [(3, False), (3, True),
+                                                               (10, False), (10, True)])
+        models = [fixture_model("ieee14-dc"), mesh_model(10, 1)]
+        models += [load_model(mesh.model) for mesh in meshes]
+        for model in models:
+            assert compute_ps(model).to_dict() == ps_reference(model).to_dict()
 
     def test_all_zero_row_is_named(self):
         with pytest.raises(InvalidArgument, match="'r1'"):
