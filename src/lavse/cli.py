@@ -48,8 +48,13 @@ _NUMERIC_ERRORS = (RankDeficient, DisconnectedBus, EmptyPartition, NonFinite,
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    line = text.removesuffix("\n") + "\n"
+    if hasattr(sys.stdout, "buffer"):  # UTF-8 bytes, which no locale refuses
+        sys.stdout.flush()  # what was written as text goes first
+        sys.stdout.buffer.write(line.encode("utf-8"))
+    else:  # a text stream such as io.StringIO
+        sys.stdout.write(line)
 
 
 def _fmt(x: float) -> str:
@@ -142,7 +147,7 @@ def cmd_reproduce(args) -> int:
             if getattr(args, name) is not None:
                 args.parser.error(f"argument --{name}: not used by reproduce {args.target}")
         result = getattr(experiments, f"reproduce_{args.target}")()
-    print(result.render())
+    _emit(result.render(), None)
     return EXIT_OK if result.passed else EXIT_MISMATCH
 
 

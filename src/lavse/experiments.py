@@ -538,7 +538,7 @@ def _trials(base: MeasurementModel, extra_rows, thetas_true) -> list[MCTrialReco
         raise NonFinite("extra rows and their measurements must be finite")
 
     margins = leverage_margins(h, [m] * len(h))
-    theta_hat = simplex(h, z)[0]
+    theta_hat = simplex(h, z).theta
     deviated = np.abs(theta_hat - np.reshape(thetas_true, (-1, n))).max(axis=1)
     return [MCTrialRecord(extra_row=row, detector_flagged=witness is not None,
                           lav_deviated=dev > DEVIATION_TOL, s_q_margin=margin,

@@ -12,9 +12,12 @@ exactly, show a residual past rounding.  A fixed tiny shift of z keeps
 every other residual away from zero, the classical cure for cycling on
 degenerate vertices (Charnes, Econometrica 20(2), 1952).  ``simplex``
 takes a stack of fits of one shape and pivots them in lockstep, so the
-leverage test (``leverage.py``) solves the per-row fits of many blocks in
-one call and the extra-row study (``experiments.py``) fits all its trials
-in one call; ``solve_lav`` is a stack of one.
+leverage test (``leverage.py``) fits the rows of many blocks, and the
+extra-row study (``experiments.py``) all its trials, in one call;
+``solve_lav`` is a stack of one.  Its ``Fit`` record holds each fit's final
+duals: with u_i = sign(r_i) off the basis and u_B the duals, H'u = 0 and
+|u| <= 1, so z'u bounds the objective from below (LP duality; Charnes,
+Cooper and Ferguson, Management Sci. 1(2), 1955) and the optimum attains it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ class LavSolution:
     1e-8 * |z|_inf; the fit is a vertex, which satisfies N linearly
     independent rows exactly, so len(zero_set) >= N and those rows have
     rank N, up to that tolerance.
-    degenerate is set when some basis row has a dual |y_k| >= 1 - 1e-9 at
-    the optimum: releasing that row leaves the objective flat to first
-    order, so the optimum may not be unique.  It is a test on the final
-    basis, not on the objective values of other vertices, so it can
+    degenerate is derived from ``Fit.duals``: some basis row's dual has
+    |u_k| >= 1 - 1e-9, so releasing that row leaves the objective flat to
+    first order and the optimum may not be unique.  It is a test on the
+    final basis, not on the objective values of other vertices, so it can
     disagree with a comparison of every vertex's objective: at a degenerate
     vertex a row can price out although the step along it is zero.
     """
@@ -75,6 +78,16 @@ class LavSolution:
     zero_set: tuple[int, ...]
     iterations: int
     degenerate: bool
+
+
+@dataclass(frozen=True)
+class Fit:
+    """A stack of F vertex fits from ``simplex``; see its Returns paragraph."""
+
+    theta: np.ndarray  # (F, N)
+    basis: np.ndarray  # (F, N), sorted
+    pivots: np.ndarray  # (F,)
+    duals: np.ndarray  # (F, N): duals[f, k] is the multiplier of row basis[f, k]
 
 
 def objective_at(model: MeasurementModel, theta: np.ndarray) -> float:
@@ -108,12 +121,13 @@ def solve_lav(model: MeasurementModel) -> LavSolution:
     basis row of the vertex unfitted.
     """
     validate_model(model)
-    theta, basis, iterations, degenerate = simplex(model.h[None], model.z[None])
+    fit = simplex(model.h[None], model.z[None])
+    degenerate = bool((np.abs(fit.duals) >= 1.0 - _OPT_TOL).any())
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = _finish(model, theta[0], int(iterations[0]), bool(degenerate[0]))
+        sol = _finish(model, fit.theta[0], int(fit.pivots[0]), degenerate)
     if not (np.isfinite(sol.theta_hat).all() and np.isfinite(sol.objective)):
         raise NonFinite(f"the fit lies beyond float range: objective {sol.objective}")
-    if (np.abs(sol.theta_hat) < np.finfo(float).tiny).any() and not np.isin(basis, sol.zero_set).all():
+    if (np.abs(sol.theta_hat) < np.finfo(float).tiny).any() and not np.isin(fit.basis, sol.zero_set).all():
         raise NonFinite("the fit lies beyond float range: a state underflows")
     return sol
 
@@ -151,12 +165,14 @@ def _start_rows(h: np.ndarray) -> np.ndarray:
     return rows
 
 
-def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def simplex(h: np.ndarray, z: np.ndarray) -> Fit:
     """Vertex minimizers of sum |z_f - h_f theta| for a stack of full-column-rank h_f.
 
-    h is (F, M, N) and z is (F, M).  Returns theta (F, N), the N rows each
-    vertex fits exactly (F, N, sorted; their rows of h_f are linearly
-    independent), the pivot count of each fit and its degeneracy flag.
+    h is (F, M, N) and z is (F, M).  Returns a ``Fit``: theta (F, N), the
+    basis (F, N, sorted), the N independent rows each vertex fits exactly,
+    the pivots (F,) and the duals (F, N), the final y below in the basis's
+    order: u_i = sign(r_i) off the basis and u_B = duals give h_f'u = 0 and
+    |u| <= 1 + _OPT_TOL.  A consistent z stops at its start, with duals 0.
 
     The basis is the N fitted rows H_B, and theta = H_B^-1 z_B.  With s_i
     the sign of the residual of each other row, the duals y solve
@@ -190,7 +206,7 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     first = (np.arange(fits) * m)[:, None]  # each fit's first row in the stacked rows
     final = _start_rows(h)  # each fit's basis once it stops pivoting
     pivots = np.zeros(fits, dtype=np.intp)
-    degenerate = np.zeros(fits, dtype=bool)
+    duals = np.zeros((fits, n))
     rows, zs = h.reshape(fits * m, n), z.reshape(-1)
     iterations = 0
     try:
@@ -228,8 +244,7 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
                 if done.size:
                     final[live[done]] = basis[done] - lead[done]
                     pivots[live[done]] = iterations
-                    # Alternative optimum: releasing some basis row leaves the objective flat.
-                    degenerate[live[done]] = (size[done] >= 1.0 - _OPT_TOL).any(axis=1)
+                    duals[live[done]] = -y[done]
                     if done.size == live.size:
                         break
                     keep = top[:, 0] > 1.0 + _OPT_TOL
@@ -275,5 +290,6 @@ def simplex(h: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         raise LavseError(f"simplex basis became singular after {iterations} pivots: {err}") from None
     with np.errstate(over="ignore"):  # theta beyond float range: the caller checks
         theta = np.ldexp(theta[..., 0], z_exponent - exponent[:, 0])
-    return theta, np.sort(final, axis=1), pivots, degenerate
+    order, each = final.argsort(axis=1), np.arange(fits)[:, None]
+    return Fit(theta, final[each, order], pivots, duals[each, order])
 

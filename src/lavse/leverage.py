@@ -251,17 +251,17 @@ def _row_tests(h: np.ndarray, fit: np.ndarray, rows: np.ndarray) -> tuple[np.nda
             r = hs[f[:, None], others, c[:, None]] / lead[:, None]
             g = r[..., None] * hj_rest[:, None] - hs[f[:, None, None], others[..., None],
                                                     rest[:, None]]
-            w, tight, pivots[part], _ = simplex(g, r)
+            lp = simplex(g, r)
             vp = np.empty((j.size, n))
-            vp[f[:, None], rest] = w
-            vp[f, c] = (1.0 - (hj_rest[:, None] @ w[..., None])[:, 0, 0]) / lead
+            vp[f[:, None], rest] = lp.theta
+            vp[f, c] = (1.0 - (hj_rest[:, None] @ lp.theta[..., None])[:, 0, 0]) / lead
             vp = pow2_scaled(vp, 1)[0]  # so that vp . vp neither under- nor overflows
             v[part] = vp = oriented(vp / np.sqrt(vp[:, None] @ vp[..., None])[:, 0])
             proj = np.abs(hs @ vp[..., None])[..., 0]
             q[part] = np.ldexp(proj[f, j], exponent[:, 0, 0])
             proj[f, j] = 0.0  # s sums the other rows, so no q can cancel them away
             s[part] = np.ldexp(proj.sum(axis=1), exponent[:, 0, 0])
-        basis[part] = others[f[:, None], tight]
+        basis[part], pivots[part] = others[f[:, None], lp.basis], lp.pivots
     return v, s, q, basis, pivots
 
 

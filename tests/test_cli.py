@@ -576,13 +576,16 @@ def test_ps_on_rank_deficient_model_exits_0(tmp_path, capsys):
     assert len(doc["ps"]) == 2
 
 
-def run_cli(*argv, **env):
-    """The command line in a child process, with env added to its environment."""
+def run_cli(*argv, text=True, **env):
+    """The command line in a child process, with env added to its environment.
+
+    Its output is decoded in this process's locale, or left as bytes if text is false.
+    """
     # The child does not inherit pytest's sys.path, so it gets the checkout's src first.
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "lavse.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=text, env=env)
 
 
 def test_console_script_installed():
@@ -592,16 +595,21 @@ def test_console_script_installed():
 
 
 def test_files_are_utf8_in_an_ascii_locale(tmp_path):
-    # Neither locale coercion nor UTF-8 mode: open() without an encoding would use ASCII.
+    # Neither locale coercion nor UTF-8 mode: open() without an encoding, and
+    # stdout, would use ASCII.
     model = tmp_path / "m.json"
     model.write_bytes('{"labels": ["P_\u00fc1", "b", "c"], "H": [[1, 0], [0, 1], [1, 1]], '
                       '"z": [1, 2, 3]}'.encode())
-    for command in ("estimate", "detect"):
+    locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    for command in ("estimate", "detect", "ps"):
         out = tmp_path / f"{command}.txt"
-        proc = run_cli(command, str(model), "--output", str(out),
-                       LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = run_cli(command, str(model), "--output", str(out), **locale)
         assert proc.returncode == 0, proc.stderr
         assert "P_\u00fc1" in out.read_text(encoding="utf-8")
+        # A table on stdout names the rows by their labels too.
+        proc = run_cli(command, str(model), text=False, **locale)
+        assert proc.returncode == 0, proc.stderr
+        assert b"P_\xc3\xbc1" in proc.stdout
 
 
 def test_readme_command_block_names_every_subcommand():

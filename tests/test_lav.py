@@ -201,6 +201,7 @@ def test_stack_gives_each_fit_its_solo_result(monkeypatch):
         monkeypatch.setattr(lav, "_CONSISTENT_TOL", tol)
         rng = np.random.default_rng(8)
         mixed = 0  # stacks in which some fits re-invert and others do not
+        degenerate = 0  # fits whose solve_lav flags an alternative optimum
         for _ in range(60):
             fits = int(rng.integers(1, 7))
             n = int(rng.integers(1, 5))
@@ -211,18 +212,25 @@ def test_stack_gives_each_fit_its_solo_result(monkeypatch):
             consistent = rng.random(fits) < 0.3
             z[consistent] = (h[consistent] @ rng.normal(size=(n, 1)))[..., 0]
             inverted.clear()
-            theta, basis, pivots, degenerate = simplex(h, z)
+            fit = simplex(h, z)
             together, alone_inverted = sum(inverted), []
             for f in range(fits):
                 inverted.clear()
                 alone = simplex(h[f:f + 1], z[f:f + 1])
                 alone_inverted.append(sum(inverted))
-                assert np.array_equal(theta[f], alone[0][0])
-                assert np.array_equal(basis[f], alone[1][0])
-                assert (pivots[f], degenerate[f]) == (alone[2][0], alone[3][0])
+                for name in ("theta", "basis", "pivots", "duals"):
+                    assert getattr(fit, name)[f].tobytes() == getattr(alone, name)[0].tobytes(), name
                 if consistent[f] and tol == default:
-                    assert pivots[f] == 0
+                    assert fit.pivots[f] == 0
+                    assert not fit.duals[f].any()
+                if tol == default:  # solve_lav fits a stack of one and reads its flag off the duals
+                    sol = solve_lav(MeasurementModel(h[f], z[f], tuple(map(str, range(m)))))
+                    assert sol.theta_hat.tobytes() == fit.theta[f].tobytes()
+                    assert sol.degenerate == (np.abs(fit.duals[f]) >= 1 - lav._OPT_TOL).any()
+                    degenerate += sol.degenerate
             assert together == sum(alone_inverted)
             mixed += max(alone_inverted) > 1 and 1 in alone_inverted
         # At the default bound no fit here ever needs a second inverse.
         assert mixed > 0 if tol < default else mixed == 0
+        if tol == default:  # some of these fits have alternative optima
+            assert degenerate > 0

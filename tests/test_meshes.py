@@ -131,6 +131,36 @@ def test_batch_of_one_keeps_basis_and_pivots(tmp_path, monkeypatch):
         assert sol.objective == pytest.approx(_lp_objective(model), rel=1e-7)
 
 
+def test_duals_are_a_dual_certificate(tmp_path):
+    # u = sign(r) off the basis and the duals on it is feasible for the LP
+    # dual (|u| <= 1, H'u = 0) and attains the fit's objective, z'u.  On
+    # fits whose zero set is exactly the basis the signs of r are the
+    # shifted ones the simplex priced, so u is its final dual.
+    instances = _bench_inputs().write_instances(tmp_path, 1, [(10, True)] * len(GRID_PIVOTS))
+    models = [load_model(inst.model) for inst in instances]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(n + 1, 5 * n + 2))
+        models.append(MeasurementModel(rng.normal(size=(m, n)), rng.normal(size=m),
+                                       tuple(f"r{i}" for i in range(m))))
+    for model in models:
+        fit = simplex(model.h[None], model.z[None])
+        basis = fit.basis[0]
+        assert solve_lav(model).zero_set == tuple(basis.tolist())
+        r = model.z - model.h @ fit.theta[0]
+        u = np.sign(r)
+        u[basis] = fit.duals[0]
+        objective = np.abs(r).sum()
+        assert np.abs(u).max() <= 1 + 1e-9
+        assert np.abs(model.h.T @ u).max() <= 1e-12 * np.linalg.norm(model.h, np.inf)
+        assert objective - model.z @ u <= 1e-12 * objective
+    # A consistent z ends the fit at its start, whose exact optimal dual is 0.
+    for model in (mesh_model(5, 3), *models[len(instances):]):
+        consistent = model.h @ rng.normal(size=model.n)
+        assert not simplex(model.h[None], consistent[None]).duals.any()
+
+
 def test_long_fit_matches_lp_reference():
     # 960 x 399 and 441 pivots: the basis inverse goes through hundreds of
     # rank-one updates on one factorization.
