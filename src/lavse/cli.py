@@ -77,7 +77,7 @@ def cmd_estimate(args) -> int:
         return EXIT_OK
     lines = ["states: " + "  ".join(_fmt(x) for x in sol.theta_hat)]
     lines.append(f"objective: {_fmt(sol.objective)}")
-    width = max(len(s) for s in model.labels)
+    width = max(len(s) for s in model.labels + ("measurement",))
     lines.append(f"{'measurement':<{width}}  {'residual':>12}  zero")
     for i, lab in enumerate(model.labels):
         z = "yes" if i in sol.zero_set else "no"

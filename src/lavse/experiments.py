@@ -560,7 +560,10 @@ def run_monte_carlo(trials: int, seed: int, csv_path=None) -> list[MCTrialRecord
     base = fixture_model("threebus-dc")
     # Trial k draws its extra row, then its state: the stream of one
     # rng.normal call of each per trial, bit for bit.
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, base.n))
+    try:
+        draws = np.random.default_rng(seed).standard_normal((trials, 2, base.n))
+    except (ValueError, MemoryError):
+        raise InvalidArgument(f"--trials {trials} is too many to draw") from None
     extras = math.sqrt(ROW_VARIANCE) * draws[:, 0]
     thetas = math.sqrt(STATE_VARIANCE) * draws[:, 1]
     records = []

@@ -227,7 +227,7 @@ def oriented(v: np.ndarray) -> np.ndarray:
 
 def format_matrix_csv(a: np.ndarray) -> str:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    return "\n".join(",".join(f"{x:.12g}" for x in row) for row in a) + "\n"
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in a) + "\n"
 
 
 def save_matrix_csv(a: np.ndarray, path) -> None:

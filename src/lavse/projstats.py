@@ -90,9 +90,10 @@ class PSReport:
 def chi2_quantile(d: int) -> float:
     """0.975-quantile of the chi-square distribution with d degrees of freedom.
 
-    The cutoff level of projection statistics (``PS_VARIANT``), computed as
-    twice the inverse of the regularized incomplete gamma function at
-    a = d/2, with scalar ``math`` arithmetic (see ``_gamma_quantile``).
+    The cutoff level of projection statistics (``PS_VARIANT``): twice the
+    root of the regularized upper incomplete gamma function's tail at
+    a = d/2, found by bisection with scalar ``math`` arithmetic (see
+    ``_gamma_quantile``).
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidArgument(f"degrees of freedom must be a positive integer, got {d!r}")
@@ -108,22 +109,20 @@ _TAIL = 1.0 - 0.975
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _STIRLING_MIN = 10.0
 
-# A sum ends at a term below _SUM_EPS times its partial sum.  The root
-# search ends at a Halley step below _STEP_TOL times the iterate: the error
-# left after that step is of the order of the step cubed.
+# A sum ends at a term below _SUM_EPS times its partial sum.
 _SUM_EPS = 1e-17
-_STEP_TOL = 1e-8
-_MAX_STEPS = 200
 
 
 @functools.lru_cache(maxsize=256)
 def _gamma_quantile(d: int) -> float:
-    """The y with Q(d/2, y) = 1 - 0.975, Q the regularized upper incomplete gamma function.
+    """The smallest float y with Q(d/2, y) <= 1 - 0.975.
 
-    Q is in closed form: a = d/2 is an integer or a half-integer, so Q is a
-    finite sum plus, for half-integer a, erfc(sqrt(y)).  So the tail loses
-    no digits to cancellation.  Halley steps start from the Wilson-Hilferty
-    value, keep a bracket of the root and bisect it when a step leaves it.
+    Q is the regularized upper incomplete gamma function, in closed form:
+    a = d/2 is an integer or a half-integer, so Q is a finite sum plus, for
+    half-integer a, erfc(sqrt(y)).  So the tail loses no digits to
+    cancellation.  Q falls in y: a bracket starting at [0, 2a] is doubled
+    until Q at its upper end is at most the tail, then halved until no
+    float lies strictly inside it, and its upper end is returned.
 
     Cached, since a caller asks for a few dof levels over and over.
     """
@@ -134,10 +133,12 @@ def _gamma_quantile(d: int) -> float:
         log_scale = -0.5 * math.log(2.0 * math.pi * a) - sum(
             c / a ** (2 * k + 1) for k, c in enumerate(_STIRLING))
 
-    def residual(y: float, pre: float) -> float:
-        """1 - 0.975 - Q(a, y): increasing in y."""
+    def below_tail(y: float) -> bool:
+        """Whether Q(a, y) <= 1 - 0.975."""
         # Q(a, y) = Q(a - k, y) + pre * sum_{i=1..k} prod_{m<i} (a - m) / y,
-        # with k the integer part of a, Q(0, y) = 0 and Q(1/2, y) = erfc(sqrt(y)).
+        # with k the integer part of a, Q(0, y) = 0 and Q(1/2, y) = erfc(sqrt(y)),
+        # and pre = y^a e^-y / Gamma(a + 1), in a form where no large logarithms cancel.
+        pre = math.exp(a * math.log(y / a) + (a - y) + log_scale)
         total, term = 0.0, 1.0
         m = a
         while m >= 1.0:
@@ -147,41 +148,17 @@ def _gamma_quantile(d: int) -> float:
                 break
             m -= 1.0
         base = math.erfc(math.sqrt(y)) if d % 2 else 0.0
-        return _TAIL - base - pre * total
+        return _TAIL - base - pre * total >= 0.0
 
-    # z from Abramowitz & Stegun 26.2.23, to 4.5e-4.
-    t = math.sqrt(-2.0 * math.log(_TAIL))
-    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
-        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t * t * t)
-    w = 2.0 / (9.0 * d)
-    y = 0.5 * d * (1.0 - w + z * math.sqrt(w))**3
-
-    lo, hi = 0.0, math.inf
-    for _ in range(_MAX_STEPS):
-        # y^a e^-y / Gamma(a + 1); in this form no large logarithms cancel.
-        pre = math.exp(a * math.log(y / a) + (a - y) + log_scale)
-        g = residual(y, pre)
-        if g > 0.0:
-            hi = y
-        elif g < 0.0:
-            lo = y
+    lo, hi = 0.0, 2.0 * a
+    while not below_tail(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below_tail(mid):
+            hi = mid
         else:
-            return y
-        density = pre * a / y
-        new = -1.0
-        if density > 0.0:
-            step = g / density
-            # Halley's correction, with g''/g' = (a - 1)/y - 1 for the gamma density.
-            step /= max(1.0 - 0.5 * step * ((a - 1.0) / y - 1.0), 0.5)
-            if abs(step) <= _STEP_TOL * y:
-                return y - step
-            new = y - step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * y
-        y = new
-        if hi - lo <= 4.0 * math.ulp(y):
-            break
-    return y
+            lo = mid
+    return hi
 
 
 def compute_ps(model: MeasurementModel) -> PSReport:

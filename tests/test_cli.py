@@ -62,6 +62,16 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "objective: 0" in out
 
+    def test_table_columns_align(self, three_bus_file, capsys):
+        # Every 3-bus label is shorter than the "measurement" heading.
+        assert cli.main(["estimate", str(three_bus_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("measurement"))
+        end = lines[start].index("residual") + len("residual")
+        rows = lines[start + 1:-1]
+        assert len(rows) == 7
+        assert all(len(row) > end and row[end - 1] != " " and row[end] == " " for row in rows)
+
     def test_json_format(self, three_bus_file, capsys):
         assert cli.main(["estimate", str(three_bus_file), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -189,7 +199,9 @@ class TestPsAndMc:
         assert doc["degenerate"] is True
         assert doc["ps"] == [None] * len(doc["dof"])
 
-    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-1"]])
+    # numpy refuses 10^20 trials before it allocates anything.
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-1"],
+                                      ["--trials", "100000000000000000000"]])
     def test_mc_bad_config_exit_3(self, flag, capsys):
         assert cli.main(["reproduce", "mc", *flag]) == 3
         assert "Traceback" not in capsys.readouterr().err

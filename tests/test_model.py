@@ -214,8 +214,9 @@ class TestFileFormats:
 
     def test_matrix_csv_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
-        lavse.save_matrix_csv(THREE_BUS_H, path)
-        assert np.array_equal(lavse.load_matrix_csv(path), THREE_BUS_H)
+        for h in (THREE_BUS_H, lavse.fixture_model("ieee14-dc").h):
+            lavse.save_matrix_csv(h, path)
+            assert np.array_equal(lavse.load_matrix_csv(path), h)
 
     def test_matrix_csv_ragged(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -97,6 +97,24 @@ class TestChi2Quantile:
         got = np.array([chi2_quantile(int(d)) for d in dofs])
         assert np.max(np.abs(got - expect) / expect) <= 1e-13
 
+    # The doubles nearest the 0.975 chi-square quantiles, from 40-digit
+    # mpmath: 2 * findroot(lambda y: gammainc(d/2, y, regularized=True) - 1/40),
+    # started at scipy's gammaincinv(d/2, 0.975), with tol 1e-36.
+    REFERENCES = {
+        1: 5.023886187314889, 2: 7.3777589082278725, 3: 9.348403604496148,
+        4: 11.143286781877798, 5: 12.832501994030029, 6: 14.449375335447922,
+        7: 16.012764274629323, 8: 17.534546139484654, 9: 19.022767798641635,
+        10: 20.483177350807395, 11: 21.92004926102121, 12: 23.336664158645338,
+        20: 34.16960690283834, 50: 71.42019518750641, 100: 129.5611971858366,
+        200: 241.05789550631093, 1000: 1089.5309127749135, 2000: 2125.8423024497756,
+        5000: 5197.883771923797, 10000: 10279.07017988759,
+    }
+
+    @pytest.mark.parametrize("d", sorted(REFERENCES))
+    def test_within_five_ulps_of_40_digit_reference(self, d):
+        ref = self.REFERENCES[d]
+        assert abs(chi2_quantile(d) - ref) <= 5 * math.ulp(ref)
+
     def test_invalid_arguments(self):
         for d in (0, -1, 2.0, True):
             with pytest.raises(InvalidArgument):
