@@ -19,6 +19,7 @@ from .errors import (
     MaxIterations,
     NonFinite,
     ParseError,
+    PreconditionError,
     RankDeficient,
     UnboundedProblem,
     UnknownLabel,

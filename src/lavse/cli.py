@@ -2,7 +2,8 @@
 
 Subcommands: estimate, detect, ps, build, reproduce.  Exit codes:
 0 success, 2 parse/usage error or a path that cannot be read or written,
-3 numerical precondition failure, 4 reproduction mismatch, 5 internal error.
+3 precondition failure (a ``PreconditionError``), 4 reproduction mismatch,
+5 internal error (any other ``LavseError``).
 """
 
 from __future__ import annotations
@@ -13,19 +14,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .errors import (
-    DimensionMismatch,
-    DisconnectedBus,
-    EmptyPartition,
-    IndexOutOfRange,
-    InvalidArgument,
-    LavseError,
-    NonFinite,
-    ParseError,
-    RankDeficient,
-    UnknownLabel,
-    UnsupportedKind,
-)
+from .errors import LavseError, ParseError, PreconditionError
 from .lav import solve_lav
 from .leverage import detect_all, detect_partitioned, load_partitions
 from .model import dump_json, dump_model, format_matrix_csv, load_model
@@ -39,10 +28,6 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
-
-_NUMERIC_ERRORS = (RankDeficient, DisconnectedBus, EmptyPartition, NonFinite,
-                   DimensionMismatch, UnsupportedKind, UnknownLabel, IndexOutOfRange,
-                   InvalidArgument)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -206,7 +191,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as err:  # OSError: unreadable or unwritable path
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except _NUMERIC_ERRORS as err:
+    except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except LavseError as err:

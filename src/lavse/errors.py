@@ -1,19 +1,28 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class derives from one of three categories, which the command line
+maps to its exit code: ``ParseError`` (exit 2), ``PreconditionError``
+(exit 3) or, for a failure of the package itself, ``LavseError`` (exit 5).
+"""
 
 
 class LavseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(LavseError, ValueError):
+class PreconditionError(LavseError):
+    """An input violates a precondition of the computation; the command line exits 3."""
+
+
+class DimensionMismatch(PreconditionError, ValueError):
     """Array shapes do not satisfy an operation's contract."""
 
 
-class NonFinite(LavseError, ValueError):
+class NonFinite(PreconditionError, ValueError):
     """An input contains NaN or infinite entries."""
 
 
-class RankDeficient(LavseError):
+class RankDeficient(PreconditionError):
     """A matrix that must have full column rank does not.
 
     Carries the computed numerical rank so callers can report how far
@@ -40,27 +49,27 @@ class UnboundedProblem(LavseError):
     """
 
 
-class InvalidArgument(LavseError, ValueError):
+class InvalidArgument(PreconditionError, ValueError):
     """A scalar argument is outside its documented domain."""
 
 
-class IndexOutOfRange(LavseError, IndexError):
+class IndexOutOfRange(PreconditionError, IndexError):
     """A row index does not refer to a measurement of the model."""
 
 
-class UnknownLabel(LavseError, KeyError):
+class UnknownLabel(PreconditionError, KeyError):
     """A measurement label does not resolve to a row."""
 
 
-class UnsupportedKind(LavseError, ValueError):
+class UnsupportedKind(PreconditionError, ValueError):
     """A measurement kind is not handled by the selected model builder."""
 
 
-class DisconnectedBus(LavseError):
+class DisconnectedBus(PreconditionError):
     """A bus has no incident line, so no flow-based row can reference it."""
 
 
-class EmptyPartition(LavseError):
+class EmptyPartition(PreconditionError):
     """A partition selects no measurements."""
 
 

@@ -257,6 +257,52 @@ def test_usage_error_exits_2(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def _error_classes(base=lavse.errors.LavseError):
+    """base and every class of lavse.errors derived from it, however deep."""
+    yield base
+    for sub in base.__subclasses__():
+        if sub.__module__ == "lavse.errors":
+            yield from _error_classes(sub)
+
+
+class NewCheck(lavse.PreconditionError):
+    """A precondition added later, which no part of the command line names."""
+
+
+_INTERNAL = (lavse.LavseError, lavse.MaxIterations, lavse.UnboundedProblem)
+
+
+@pytest.mark.parametrize("error", [*_error_classes(), NewCheck],
+                         ids=lambda cls: cls.__name__)
+def test_each_error_exits_with_its_category_code(error, monkeypatch, capsys):
+    # The exit code comes from the class's category: ParseError 2,
+    # PreconditionError 3, and any other LavseError, a fault of the package, 5.
+    def fail(path):
+        raise error(1, 2) if error is lavse.RankDeficient else error("probe")
+
+    monkeypatch.setattr(cli, "load_model", fail)
+    if error is lavse.ParseError:
+        code, prefix = 2, "parse error: "
+    elif error in _INTERNAL:
+        code, prefix = 5, "internal error: "
+    else:
+        assert issubclass(error, lavse.PreconditionError)
+        code, prefix = 3, "error: "
+    assert cli.main(["estimate", "model.json"]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("error, builtin", [
+    (lavse.DimensionMismatch, ValueError), (lavse.NonFinite, ValueError),
+    (lavse.InvalidArgument, ValueError), (lavse.UnsupportedKind, ValueError),
+    (lavse.ParseError, ValueError), (lavse.IndexOutOfRange, IndexError),
+    (lavse.UnknownLabel, KeyError)])
+def test_errors_keep_their_builtin_base(error, builtin):
+    # Library callers may catch the builtin exception instead of the package's.
+    assert issubclass(error, lavse.LavseError) and issubclass(error, builtin)
+    assert str(error("P_x")) == ("'P_x'" if builtin is KeyError else "P_x")
+
+
 class TestReproduce:
     def test_table4_pass(self, capsys):
         assert cli.main(["reproduce", "table4"]) == 0
