@@ -58,7 +58,20 @@ class IndexOutOfRange(PreconditionError, IndexError):
 
 
 class UnknownLabel(PreconditionError, KeyError):
-    """A measurement label does not resolve to a row."""
+    """A measurement label does not resolve to a row.
+
+    Carries the label; ``context`` says where it was named.  The message
+    is readable text, not ``KeyError``'s quoted key.
+    """
+
+    def __init__(self, label, context: str = ""):
+        self.label = label
+        self.context = context
+        super().__init__(label)
+
+    def __str__(self) -> str:
+        where = f" in {self.context}" if self.context else ""
+        return f"unknown measurement label {self.label!r}{where}"
 
 
 class UnsupportedKind(PreconditionError, ValueError):

@@ -59,7 +59,14 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyPartition, IndexOutOfRange, InvalidArgument, NonFinite, RankDeficient
+from .errors import (
+    EmptyPartition,
+    IndexOutOfRange,
+    InvalidArgument,
+    NonFinite,
+    RankDeficient,
+    UnknownLabel,
+)
 from .lav import simplex
 from .model import (
     MeasurementModel,
@@ -615,9 +622,14 @@ def partitions_from_dict(doc: dict, model: MeasurementModel) -> list[Partition]:
     out = []
     for entry in array(doc["partitions"], "field 'partitions'"):
         entry = fields(entry, "partition", "name", "measurements")
-        rows = tuple(model.row_index(x) if isinstance(x, str) else integral(x, "measurement row")
-                     for x in array(entry["measurements"], "field 'measurements'"))
-        out.append(Partition(string(entry["name"], "partition name"), rows))
+        name = string(entry["name"], "partition name")
+        try:
+            rows = tuple(model.row_index(x) if isinstance(x, str)
+                         else integral(x, "measurement row")
+                         for x in array(entry["measurements"], "field 'measurements'"))
+        except UnknownLabel as err:
+            raise UnknownLabel(err.label, f"partition {name!r}") from None
+        out.append(Partition(name, rows))
     return out
 
 

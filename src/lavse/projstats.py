@@ -161,6 +161,14 @@ def _gamma_quantile(d: int) -> float:
     return hi
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=0)``: the mean of the middle one or two rows after one partition."""
+    # No NaN check: the inputs are finite, and np.median's check imports numpy.ma.
+    m = a.shape[0]
+    kth = m // 2 if m % 2 else (m // 2 - 1, m // 2)
+    return np.partition(a, kth, axis=0)[(m - 1) // 2:m // 2 + 1].mean(axis=0)
+
+
 def compute_ps(model: MeasurementModel) -> PSReport:
     """Projection statistics of the model rows.
 
@@ -182,7 +190,7 @@ def compute_ps(model: MeasurementModel) -> PSReport:
                               "projection statistics need a nonzero coefficient in every row")
 
     h = pow2_scaled(model.h, None)[0]
-    center = np.median(h, axis=0)
+    center = _median(h)
     directions = h - center
     norms = np.linalg.norm(directions, axis=1)
     scale = norms.max()
@@ -196,8 +204,8 @@ def compute_ps(model: MeasurementModel) -> PSReport:
         # Where more than half the projections are exactly 0, the median and
         # the MAD are 0, so the test below would skip the direction anyway.
         proj = proj[:, np.count_nonzero(proj, axis=0) >= (m + 1) // 2]
-        dev = np.abs(proj - np.median(proj, axis=0))
-        mad = np.median(dev, axis=0)
+        dev = np.abs(proj - _median(proj))
+        mad = _median(dev)
         ok = mad > _MAD_FLOOR * np.abs(proj).max(axis=0)
         used += int(np.count_nonzero(ok))
         np.maximum(best, (dev[:, ok] / (_MAD_SCALE * mad[ok])).max(axis=1, initial=0.0),

@@ -172,6 +172,14 @@ class TestDetect:
         assert cli.main(["detect", str(three_bus_file), "--partitions", str(ppath)]) == 3
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["nope", ""])
+    def test_partition_unknown_label_exit_3(self, three_bus_file, tmp_path, capsys, label):
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps({"partitions": [{"name": "blue", "measurements": [label]}]}))
+        assert cli.main(["detect", str(three_bus_file), "--partitions", str(ppath)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: unknown measurement label {label!r} in partition 'blue'\n")
+
 
 class TestPsAndMc:
     def test_ps_table(self, three_bus_file, capsys):
@@ -300,7 +308,8 @@ def test_each_error_exits_with_its_category_code(error, monkeypatch, capsys):
 def test_errors_keep_their_builtin_base(error, builtin):
     # Library callers may catch the builtin exception instead of the package's.
     assert issubclass(error, lavse.LavseError) and issubclass(error, builtin)
-    assert str(error("P_x")) == ("'P_x'" if builtin is KeyError else "P_x")
+    assert str(error("P_x")) == ("unknown measurement label 'P_x'" if builtin is KeyError
+                                 else "P_x")
 
 
 class TestReproduce:

@@ -200,8 +200,9 @@ class TestGrossErrors:
         assert np.array_equal(out.h, model.h)
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(UnknownLabel, match="^unknown measurement label 'nope'$") as err:
             inject_gross_errors(fixture_model("threebus-dc"), [GrossErrorSpec("nope", 1.0)])
+        assert err.value.label == "nope"
 
     def test_detector_unaffected(self):
         model = fixture_model("ieee14-dc")

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lavse import (
     InvalidArgument,
@@ -13,6 +16,7 @@ from lavse import (
     fixture_model,
     load_model,
 )
+from lavse.projstats import _median
 
 from oracles import ps_reference
 from test_meshes import _bench_inputs, mesh_model
@@ -249,3 +253,23 @@ class TestComputePs:
     def test_needs_two_rows(self):
         with pytest.raises(InvalidArgument):
             compute_ps(MeasurementModel(np.ones((1, 1)), [0.0], ("a",)))
+
+
+# Entries of one matrix: sparse small integers with ties and signed zeros,
+# or magnitudes near 1, or near 1e300.
+MEDIAN_ENTRIES = st.sampled_from([
+    st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_median_is_bitwise_np_median(data):
+    shape = (data.draw(st.integers(2, 41)), data.draw(st.integers(1, 8)))
+    a = data.draw(arrays(np.float64, shape, elements=data.draw(MEDIAN_ENTRIES)))
+    got, want = _median(a), np.median(a, axis=0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
